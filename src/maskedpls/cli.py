@@ -15,9 +15,13 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .harness import run_sweep
@@ -119,6 +123,37 @@ def _resolve_run_config(args) -> ResolvedConfig:
     return preset_config(args.preset, args.scale, overrides)
 
 
+def _openblas_call(symbol: str, restype):
+    """Call a no-argument function of numpy's bundled OpenBLAS, or return
+    None when numpy ships no such library or function."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*"))
+    if not libs:
+        return None
+    try:
+        fn = getattr(ctypes.CDLL(libs[0]), symbol)
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = []
+    fn.restype = restype
+    return fn()
+
+
+def _numeric_environment() -> dict:
+    """The numpy build and BLAS threading that result digests depend on.
+
+    The BLAS thread count is read, never set.  These fields go into the
+    result metadata only, never into the digest.
+    """
+    config = _openblas_call("scipy_openblas_get_config64_", ctypes.c_char_p)
+    return {
+        "numpy": np.__version__,
+        "blas_config": None if config is None else config.decode(),
+        "blas_threads": _openblas_call("scipy_openblas_get_num_threads64_",
+                                       ctypes.c_int),
+    }
+
+
 def _variant_path(out: str, name: str, multi: bool) -> str:
     if not multi:
         return out
@@ -134,6 +169,7 @@ def _cmd_run(args) -> int:
     print()
     preset_name = resolved.echo.get("preset")
     multi = len(resolved.items) > 1
+    environment = _numeric_environment()
     results = {}
     for item in resolved.items:
         result = run_sweep(item.spec, threads=args.threads,
@@ -150,6 +186,7 @@ def _cmd_run(args) -> int:
                 "variant": item.name,
                 "seed": item.spec.base.seed,
                 "version": __version__,
+                **environment,
             }
             emit_results(result, path, fmt=args.format, metadata=metadata)
             print(f"wrote {path}")

@@ -3,9 +3,11 @@
 A sweep varies one or two axes of the generative model, runs repeated
 trials at every grid point with seeds derived deterministically from the
 base seed, and aggregates recovery quality against the asymptotic
-predictions.  Results are reproducible bit-for-bit regardless of thread
-count because every trial's seed depends only on its (point, trial)
-coordinates.
+predictions.  Results are reproducible bit-for-bit regardless of the
+harness thread count, because every trial's seed depends only on its
+(point, trial) coordinates.  That holds at a fixed numpy/OpenBLAS build
+and BLAS thread count: BLAS kernels may round differently under another
+thread count or build.
 """
 
 from __future__ import annotations

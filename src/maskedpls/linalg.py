@@ -19,6 +19,13 @@ from .streams import substream
 DENSE_FALLBACK_DIM = 32
 
 _RANK_RTOL = 1e-10
+# CholeskyQR acceptance: the Frobenius bound ||R||_F ||R^-1||_F caps the
+# 2-norm condition number, so an accepted input is far inside the
+# _RANK_RTOL test; the orthogonality error of CholeskyQR grows as
+# cond^2 * eps, so the measured max|W.T W / rows - I| must also sit at
+# float64 rounding level before the fast result is used
+_CHOLESKY_COND_BOUND = 1e6
+_CHOLESKY_ORTHO_ATOL = 64 * np.finfo(np.float64).eps
 # fixed key for the power-iteration start vector; per-shape, not per-call,
 # so repeated calls on the same matrix are bitwise identical
 _START_KEY = 0x720A11CE
@@ -67,17 +74,50 @@ def _canonical_signs(left: np.ndarray, right: np.ndarray):
     return left, right
 
 
+def _whiten_cholesky(a: np.ndarray):
+    """CholeskyQR whitening sqrt(rows) * a @ inv(R), R from a.T @ a = R.T R.
+
+    Returns None unless the Cholesky factorization succeeds, the
+    condition bound holds and the result is orthogonal to rounding level.
+    """
+    rows, cols = a.shape
+    try:
+        r = np.linalg.cholesky(a.T @ a).T
+    except np.linalg.LinAlgError:
+        return None
+    r_inv = np.linalg.inv(r)
+    # negated comparisons so that a NaN also rejects
+    if not np.linalg.norm(r) * np.linalg.norm(r_inv) < _CHOLESKY_COND_BOUND:
+        return None
+    w = a @ (np.sqrt(rows) * r_inv)
+    if not np.abs(w.T @ w / rows - np.eye(cols)).max() <= _CHOLESKY_ORTHO_ATOL:
+        return None
+    return w
+
+
 def whiten(raw) -> np.ndarray:
     """Rescale columns to an exactly whitened design.
 
-    Returns W with W.T @ W == rows * identity (thin QR, signs fixed so
-    each column keeps a positive projection onto its QR pivot).
+    Returns W with W.T @ W == rows * identity: W = sqrt(rows) * Q for the
+    thin QR factorization raw = Q R whose R has a positive diagonal, so
+    each column keeps a positive projection onto its QR pivot.
+
+    The fast path is CholeskyQR: R is the Cholesky factor of raw.T @ raw.
+    Its result is used only when the factorization succeeds,
+    ||R||_F ||R^-1||_F < 1e6 and max|W.T @ W / rows - I| <= 64 eps.
+    Any other input takes the Householder QR path with the sign fix and
+    an SVD rank check, which raises ValueError (naming the condition
+    number) when the smallest singular value is at most 1e-10 times the
+    largest.
     """
     a = _as_matrix(raw, "whiten")
     rows, cols = a.shape
     if rows < cols:
         raise ValueError(
             f"whiten requires rows >= cols, got {rows} x {cols}")
+    fast = _whiten_cholesky(a)
+    if fast is not None:
+        return fast
     q, r = np.linalg.qr(a, mode="reduced")
     # q has orthonormal columns, so the singular values of r equal those
     # of the input; the rank check is exact but much cheaper on r

@@ -22,6 +22,12 @@ MASK_MECHANISMS = ("mcar", "signal_dependent", "magnitude_dependent",
 # fraction of entries above the per-column cutoff in the thresholded
 # missingness link (cutoff = 70th percentile)
 _THRESHOLD_QUANTILE = 0.7
+# intercept solve: Newton takes a handful of steps, and the budget also
+# covers the ~60 bisections that reach float64 resolution from the
+# bracket.  The step tolerance is not a few ulps because near the root
+# the rounding noise of the mean moves the steps by several ulps
+_INTERCEPT_MAX_STEPS = 100
+_NEWTON_STEP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -168,21 +174,45 @@ def _standardize(scores: np.ndarray) -> np.ndarray:
 
 
 def _solve_intercept(scores: np.ndarray, strength: float, target: float) -> float:
-    """Bisect the link intercept so the mean missing probability hits target."""
+    """Solve for the link intercept b at which the mean missing probability
+    mean(sigmoid(b + strength * scores)) equals target.
+
+    Safeguarded Newton on the increasing mean-sigmoid f, whose slope is
+    f' = mean(p (1 - p)).  It starts from logit(target) and keeps a
+    bracket that holds the root; a step that would leave the bracket
+    bisects it instead.  Since |f''| <= f', a Newton step s leaves an
+    error of about s**2 / 2, so it stops after a step below
+    _NEWTON_STEP_TOL (the result is then within float64 rounding of the
+    root) or on f == 0.
+    """
     shift = strength * scores
     span = float(np.abs(shift).max()) if shift.size else 0.0
     lo, hi = -span - 40.0, span + 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(_sigmoid(mid + shift).mean()) < target:
-            lo = mid
+    b = float(np.clip(np.log(target / (1.0 - target)), lo, hi))
+    for _ in range(_INTERCEPT_MAX_STEPS):
+        p = _sigmoid(b + shift)
+        f = float(p.mean()) - target
+        if f == 0.0:
+            return b
+        if f < 0.0:
+            lo = b
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = b
+        slope = float((p * (1.0 - p)).mean())
+        step = -f / slope if slope > 0.0 else np.inf
+        if abs(step) <= _NEWTON_STEP_TOL:
+            return b + step
+        b = b + step if lo < b + step < hi else 0.5 * (lo + hi)
+    return b
 
 
 def _mar_scores(spec: MaskSpec, data_context, rows: int, cols: int) -> np.ndarray:
-    """Per-entry standardized scores for the data-dependent mechanisms."""
+    """Standardized scores for the data-dependent mechanisms.
+
+    Per entry (rows x cols), or per row as a rows x 1 column that
+    broadcasts across the view for the row mechanisms (signal_dependent,
+    correlated), so the intercept solve and the link run over rows only.
+    """
     if data_context is None:
         raise ValueError(
             f"mask mechanism {spec.mechanism!r} requires a data context")
@@ -192,8 +222,7 @@ def _mar_scores(spec: MaskSpec, data_context, rows: int, cols: int) -> np.ndarra
         if ctx.ndim != 1 or ctx.shape[0] != rows:
             raise ValueError(
                 f"signal_dependent context must be a length-{rows} row-score vector")
-        s = _standardize(np.abs(ctx))
-        return np.broadcast_to(s[:, None], (rows, cols))
+        return _standardize(np.abs(ctx))[:, None]
     if spec.mechanism == "magnitude_dependent":
         if ctx.shape != (rows, cols):
             raise ValueError(
@@ -211,8 +240,7 @@ def _mar_scores(spec: MaskSpec, data_context, rows: int, cols: int) -> np.ndarra
     if ctx.ndim != 2 or ctx.shape[0] != rows:
         raise ValueError(
             f"correlated context must be the other view's matrix with {rows} rows")
-    s = _standardize(np.abs(ctx).mean(axis=1))
-    return np.broadcast_to(s[:, None], (rows, cols))
+    return _standardize(np.abs(ctx).mean(axis=1))[:, None]
 
 
 def sample_mask(spec: MaskSpec, data_context, rows: int, cols: int,
@@ -226,10 +254,9 @@ def sample_mask(spec: MaskSpec, data_context, rows: int, cols: int,
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"mask shape must be positive, got {rows} x {cols}")
-    rng = substream(seed, "mask")
-    uniforms = rng.random((rows, cols))
     if spec.target_rate == 0.0:
         return np.ones((rows, cols), dtype=bool)
+    uniforms = substream(seed, "mask").random((rows, cols))
     if spec.mechanism == "mcar" or spec.strength == 0.0:
         if spec.mechanism != "mcar":
             # context is still required so callers cannot silently treat a

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from maskedpls import cli
 from maskedpls.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from maskedpls.matio import write_matrix
+from maskedpls.matio import load_results, write_matrix
 
 SMALL_SWEEP = {
     "sweep": {
@@ -134,6 +135,28 @@ def test_run_threads_do_not_change_digest(tmp_path, capsys):
     threaded = capsys.readouterr().out
     assert serial.split("digest=")[1].split()[0] == \
         threaded.split("digest=")[1].split()[0]
+
+
+def test_run_metadata_records_numeric_environment_outside_digest(
+        tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(SMALL_SWEEP))
+    first = tmp_path / "first.json"
+    assert main(["run", "--config", str(cfg), "--out", str(first),
+                 "--format", "json"]) == EXIT_OK
+    meta = json.loads(first.read_text())["metadata"]
+    assert meta["numpy"] == np.__version__
+    assert meta["blas_config"] is None or isinstance(meta["blas_config"], str)
+    assert meta["blas_threads"] is None or meta["blas_threads"] >= 1
+
+    monkeypatch.setattr(cli, "_numeric_environment", lambda: {
+        "numpy": "0.0", "blas_config": "other BLAS", "blas_threads": 99})
+    second = tmp_path / "second.json"
+    assert main(["run", "--config", str(cfg), "--out", str(second),
+                 "--format", "json"]) == EXIT_OK
+    doc_1, doc_2 = load_results(first), load_results(second)
+    assert doc_2["metadata"]["blas_threads"] == 99
+    assert doc_1["digest"] == doc_2["digest"]
 
 
 def test_run_preset_with_overrides_json_output(tmp_path, capsys):

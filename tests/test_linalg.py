@@ -76,6 +76,52 @@ def test_whiten_deterministic():
     np.testing.assert_array_equal(whiten(raw), whiten(raw.copy()))
 
 
+def _qr_reference(raw):
+    q, r = np.linalg.qr(raw, mode="reduced")
+    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    return np.sqrt(raw.shape[0]) * q * signs
+
+
+def _count_qr_calls(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(1000, 200), (2000, 266)])
+def test_whiten_cholesky_path_matches_qr_reference(shape, monkeypatch):
+    raw = substream(20, "whiten-chol", *shape).standard_normal(shape)
+    ref = _qr_reference(raw)
+    qr_calls = _count_qr_calls(monkeypatch)
+    out = whiten(raw)
+    assert not qr_calls  # the Cholesky path was accepted
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+
+def test_whiten_ill_conditioned_falls_back_to_qr(monkeypatch):
+    raw = substream(21, "whiten-ill").standard_normal((50, 10))
+    raw[:, 3] *= 1e7
+    qr_calls = _count_qr_calls(monkeypatch)
+    out = whiten(raw)
+    assert len(qr_calls) == 1
+    np.testing.assert_allclose(out.T @ out, 50.0 * np.eye(10), atol=1e-8)
+
+
+def test_whiten_rejects_cond_1e12():
+    rng = substream(22, "whiten-cond")
+    left, _ = np.linalg.qr(rng.standard_normal((60, 8)))
+    right, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    raw = left @ np.diag(np.logspace(0.0, -12.0, 8)) @ right
+    with pytest.raises(ValueError, match="condition number"):
+        whiten(raw)
+
+
 # ---------------------------------------------------------------------------
 # top_singular_pair
 

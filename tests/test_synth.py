@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from maskedpls import synth
 from maskedpls.streams import substream
 from maskedpls.synth import (
+    MASK_MECHANISMS,
     MaskedPair,
     MaskSpec,
     ModelConfig,
@@ -206,6 +208,80 @@ def test_mask_context_shape_errors():
     with pytest.raises(ValueError, match="row-score"):
         sample_mask(MaskSpec("signal_dependent", 0.3, 1.0),
                     np.ones((4, 4)), 10, 5, seed=1)
+
+
+def test_mask_zero_rate_draws_nothing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a zero-rate mask must not draw uniforms")
+
+    monkeypatch.setattr(synth, "substream", no_draws)
+    for mech in MASK_MECHANISMS:
+        m = sample_mask(MaskSpec(mech, 0.0, 1.0), None, 30, 10, seed=2)
+        np.testing.assert_array_equal(m, np.ones((30, 10), dtype=bool))
+
+
+def _bisect_intercept(scores, strength, target):
+    # reference: 200 bisection steps on the mean missing probability
+    shift = strength * scores
+    span = float(np.abs(shift).max())
+    lo, hi = -span - 40.0, span + 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(synth._sigmoid(mid + shift).mean()) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _mar_contexts(rows, cols):
+    rng = substream(3, "intercept-ref")
+    ctx = rng.standard_normal((rows, cols))
+    return {
+        "signal_dependent": rng.standard_normal(rows),
+        "magnitude_dependent": ctx,
+        "thresholded": ctx,
+        "correlated": ctx,
+    }
+
+
+@pytest.mark.parametrize("target", [0.01, 0.3, 0.95])
+def test_intercept_matches_bisection_reference(target, monkeypatch):
+    rows, cols = 400, 60
+    calls = []
+    sigmoid = synth._sigmoid
+
+    def counting(z):
+        calls.append(1)
+        return sigmoid(z)
+
+    for mech, ctx in _mar_contexts(rows, cols).items():
+        spec = MaskSpec(mech, target, 1.0)
+        scores = synth._mar_scores(spec, ctx, rows, cols)
+        ref = _bisect_intercept(scores, 1.0, target)
+        monkeypatch.setattr(synth, "_sigmoid", counting)
+        calls.clear()
+        got = synth._solve_intercept(scores, 1.0, target)
+        assert len(calls) <= 20, (mech, len(calls))
+        mask = sample_mask(spec, ctx, rows, cols, seed=4)
+        monkeypatch.setattr(synth, "_sigmoid", sigmoid)
+        assert abs(got - ref) <= 1e-12, (mech, got, ref)
+        uniforms = substream(4, "mask").random((rows, cols))
+        ref_mask = uniforms >= sigmoid(ref + 1.0 * scores)
+        np.testing.assert_array_equal(mask, ref_mask)
+        assert abs(mask.mean() - (1.0 - target)) < 0.02
+
+
+def test_intercept_row_scores_match_full_matrix():
+    rows, cols = 500, 40
+    col = substream(5, "row-scores").standard_normal((rows, 1))
+    for target in (0.01, 0.3, 0.95):
+        compact = synth._solve_intercept(col, 0.7, target)
+        broadcast = synth._solve_intercept(
+            np.broadcast_to(col, (rows, cols)), 0.7, target)
+        full = synth._solve_intercept(np.repeat(col, cols, axis=1), 0.7, target)
+        assert abs(compact - broadcast) <= 1e-12
+        assert abs(compact - full) <= 1e-12
 
 
 def test_mask_deterministic():
