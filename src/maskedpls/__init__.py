@@ -4,56 +4,14 @@ Exact asymptotic thresholds and overlaps for the leading singular pair
 of a rescaled cross-covariance between two entrywise-masked views, a
 seeded generative model with non-Gaussian noise and MAR masking, a
 deterministic Monte Carlo sweep harness, baseline imputation
-estimators, and split-half stability diagnostics.
+estimators, and split-half stability diagnostics.  Each submodule is
+its own namespace: ``maskedpls.theory``, ``synth``, ``estimators``,
+``harness``, ``presets``, ``matio``, ``linalg`` and ``streams``.
 """
 
 __version__ = "0.1.0"
 
-from .estimators import (ESTIMATOR_NAMES, EstimateResult, EstimatorKind,
-                         estimate, rescaled_cross_covariance,
-                         split_half_stability, squared_overlaps)
-from .harness import (Axis, Diagnostics, FiniteSizeResult, PointSummary,
-                      SweepResult, SweepSpec, TrialResult, correlation_with_theory,
-                      empirical_boundary, finite_size_study, grid_assignments,
-                      result_digest, run_sweep, run_trial, transition_width)
-from .linalg import (ConvergenceError, SingularTriple, pca_reduce,
-                     top_singular_pair, vector_correlation, whiten)
-from .matio import (MatrixFormatError, emit_results, ingest_matrix,
-                    load_results, write_matrix)
-from .presets import (ConfigError, PRESET_NAMES, ResolvedConfig, RunItem,
-                      evaluate_check, parse_config, preset_config)
-from .streams import derive_seed, substream
-from .synth import (MASK_MECHANISMS, MaskSpec, MaskedPair, ModelConfig,
-                    NOISE_KINDS, NoiseSpec, generate_pair, planted_pair,
-                    prepare_semi_synthetic, sample_mask, sample_noise,
-                    semi_synthetic_pair)
-from .theory import (TheoryPrediction, VariationalPoint, asymptotic_overlaps,
-                     critical_threshold, effective_spike, is_supercritical,
-                     maximize_objective_grid, optimal_susceptibilities,
-                     phase_boundary, predict, stationarity_residual,
-                     variational_objective)
+from . import estimators, harness, linalg, matio, presets, streams, synth, theory
 
-__all__ = [
-    "__version__",
-    "ESTIMATOR_NAMES", "EstimateResult", "EstimatorKind", "estimate",
-    "rescaled_cross_covariance", "split_half_stability", "squared_overlaps",
-    "Axis", "Diagnostics", "FiniteSizeResult", "PointSummary", "SweepResult",
-    "SweepSpec", "TrialResult", "correlation_with_theory", "empirical_boundary",
-    "finite_size_study", "grid_assignments", "result_digest", "run_sweep",
-    "run_trial", "transition_width",
-    "ConvergenceError", "SingularTriple", "pca_reduce", "top_singular_pair",
-    "vector_correlation", "whiten",
-    "MatrixFormatError", "emit_results", "ingest_matrix", "load_results",
-    "write_matrix",
-    "ConfigError", "PRESET_NAMES", "ResolvedConfig", "RunItem",
-    "evaluate_check", "parse_config", "preset_config",
-    "derive_seed", "substream",
-    "MASK_MECHANISMS", "MaskSpec", "MaskedPair", "ModelConfig", "NOISE_KINDS",
-    "NoiseSpec", "generate_pair", "planted_pair", "prepare_semi_synthetic",
-    "sample_mask", "sample_noise", "semi_synthetic_pair",
-    "TheoryPrediction", "VariationalPoint", "asymptotic_overlaps",
-    "critical_threshold",
-    "effective_spike", "is_supercritical", "maximize_objective_grid",
-    "optimal_susceptibilities", "phase_boundary", "predict",
-    "stationarity_residual", "variational_objective",
-]
+__all__ = ["__version__", "estimators", "harness", "linalg", "matio", "presets",
+           "streams", "synth", "theory"]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimators import EstimatorKind, estimate, split_half_stability
 from .streams import derive_seed
-from .synth import MaskedPair, MaskSpec, ModelConfig, generate_pair
+from .synth import MaskedPair, ModelConfig, generate_pair
 from .theory import critical_threshold, predict
 
 AXIS_NAMES = ("theta", "theta_over_crit", "m_x", "m_y", "m_joint", "rho",
@@ -409,48 +409,3 @@ def transition_width(points: Sequence[PointSummary],
     t_lo = _crossing_theta(thetas, fitted, lo_q * peak, strict=False)
     t_hi = _crossing_theta(thetas, fitted, hi_q * peak, strict=False)
     return max(0.0, t_hi - t_lo)
-
-
-@dataclass(frozen=True)
-class FiniteSizeResult:
-    sweeps: dict[int, SweepResult]
-    widths: dict[int, float]
-
-
-def finite_size_study(alpha_x: float, alpha_y: float, mask_rate: float,
-                      n_list: Sequence[int],
-                      theta_window: tuple[float, float, int] = (0.85, 1.15, 11),
-                      trials: int = 30, seed: int = 0,
-                      estimator: EstimatorKind | None = None,
-                      threads: int = 1) -> FiniteSizeResult:
-    """Sharpening of the recovery transition with sample size.
-
-    Sweeps a relative spike window around the critical point at several
-    sample counts (dimensions scale to keep the aspect ratios fixed) and
-    measures each window's transition width.
-    """
-    lo, hi, count = theta_window
-    if not lo < 1.0 < hi:
-        raise ValueError(f"theta window must straddle the critical point, got {theta_window}")
-    if count < 3:
-        raise ValueError(f"theta window needs at least 3 points, got {count}")
-    if estimator is None:
-        estimator = EstimatorKind()
-    sweeps: dict[int, SweepResult] = {}
-    widths: dict[int, float] = {}
-    for n in n_list:
-        n = int(n)
-        dx = max(1, round(n / alpha_x))
-        dy = max(1, round(n / alpha_y))
-        base = ModelConfig(n_samples=n, dx=dx, dy=dy, theta=1.0,
-                           mask_x=MaskSpec(target_rate=mask_rate),
-                           mask_y=MaskSpec(target_rate=mask_rate),
-                           seed=derive_seed(seed, "finite-size", n))
-        spec = SweepSpec(base=base,
-                         axis=Axis("theta_over_crit",
-                                   tuple(np.linspace(lo, hi, count))),
-                         trials=trials, estimator=estimator)
-        result = run_sweep(spec, threads=threads)
-        sweeps[n] = result
-        widths[n] = transition_width(result.points)
-    return FiniteSizeResult(sweeps=sweeps, widths=widths)

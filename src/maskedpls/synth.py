@@ -381,22 +381,6 @@ def prepare_semi_synthetic(x_real, y_real, target_dims: int):
     return x_w, triple.left, triple.right
 
 
-def semi_synthetic_pair(x_real, y_real, target_dims: int, theta: float,
-                        mask_x: MaskSpec, mask_y: MaskSpec, seed: int,
-                        noise: NoiseSpec | None = None) -> MaskedPair:
-    """Plant a synthetic rank-1 signal along empirical directions.
-
-    The design is the whitened PCA reduction of the real design view;
-    the response is regenerated as theta * (design @ u) v^T plus fresh
-    noise, then both views are masked.
-    """
-    if not theta >= 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
-    x_w, u_dir, v_dir = prepare_semi_synthetic(x_real, y_real, target_dims)
-    return _assemble_pair(x_w, u_dir, v_dir, theta, noise or NoiseSpec(),
-                          mask_x, mask_y, seed)
-
-
 def planted_pair(design, u0, v0, theta: float, noise: NoiseSpec,
                  mask_x: MaskSpec, mask_y: MaskSpec, seed: int) -> MaskedPair:
     """Assemble a masked pair from a precomputed design and directions.

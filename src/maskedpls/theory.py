@@ -100,14 +100,6 @@ def predict(alpha_x: float, alpha_y: float, rho: float, theta: float) -> TheoryP
     )
 
 
-def phase_boundary(alpha_x: float, alpha_y: float, rho_grid) -> np.ndarray:
-    """Critical signal strength along a grid of retention probabilities."""
-    grid = np.asarray(rho_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("rho_grid must be a non-empty 1-D array")
-    return np.array([critical_threshold(alpha_x, alpha_y, r) for r in grid])
-
-
 def _check_unit_interval(r: float, name: str):
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {r}")

@@ -4,7 +4,10 @@ Each test prints a single ``[PASS] criterion N: ...`` or ``[FAIL]``
 line carrying the measured quantities next to their pinned bounds, then
 asserts, so a run of this module reads as an eleven-line scoreboard.
 Sweeps execute the shipped desk presets through the public API with
-their default seeds.
+their default seeds.  Criteria 2-6, 9 and 10 take their verdicts and
+measured values from ``presets.evaluate_check``, the clauses that
+``maskedpls run --check`` prints; those tests add only runtime bounds
+and facts about the desk layout.
 """
 
 import dataclasses
@@ -16,11 +19,10 @@ import numpy as np
 
 from maskedpls import __version__, theory
 from maskedpls.estimators import rescaled_cross_covariance, squared_overlaps
-from maskedpls.harness import (Axis, Diagnostics, SweepSpec, empirical_boundary,
-                               run_sweep, transition_width)
+from maskedpls.harness import Axis, Diagnostics, SweepSpec, run_sweep
 from maskedpls.linalg import top_singular_pair, whiten
 from maskedpls.matio import emit_results, ingest_matrix, load_results, write_matrix
-from maskedpls.presets import preset_config
+from maskedpls.presets import evaluate_check, preset_config
 from maskedpls.synth import (MaskSpec, ModelConfig, NoiseSpec, generate_pair,
                              sample_mask, sample_noise)
 
@@ -35,6 +37,18 @@ def _run_preset(name: str) -> dict:
     return {item.name: run_sweep(item.spec, threads=1,
                                  pair_factory=item.pair_factory)
             for item in cfg.items}
+
+
+def _report_check(num: int, preset: str, results: dict, elapsed: float,
+                  budget: float, *layout: tuple[str, bool, str]) -> bool:
+    """Report the preset's own check clauses, which hold the single copy of
+    each threshold, plus any desk-layout fact the verdict relies on and
+    this test's runtime bound."""
+    clauses = evaluate_check(preset, results) + list(layout)
+    ok = all(good for _, good, _ in clauses) and elapsed < budget
+    rows = [f"{name}: {detail} [{'ok' if good else 'missed'}]"
+            for name, good, detail in clauses]
+    return _report(num, ok, "; ".join(rows) + f"; {elapsed:.1f}s (< {budget:g}s)")
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +79,9 @@ def test_criterion_01_threshold_cli():
 
 def test_criterion_02_transition_matches_theory():
     start = time.perf_counter()
-    result = _run_preset("exp1_transition")["transition"]
+    results = _run_preset("exp1_transition")
     elapsed = time.perf_counter() - start
-    sup = [p for p in result.points if p.theta > 1.1 * p.theta_crit]
-    sub = [p for p in result.points if p.theta < 0.9 * p.theta_crit]
-    sup_dev = max(max(abs(p.mean_r2x - p.theory_r2x),
-                      abs(p.mean_r2y - p.theory_r2y)) for p in sup)
-    sub_level = max(max(p.mean_r2x, p.mean_r2y) for p in sub)
-    corr = result.correlation
-    ok = (len(sup) >= 5 and len(sub) >= 2
-          and sup_dev < 0.05 and sub_level < 0.05 and corr > 0.99
-          and elapsed < 120.0)
-    assert _report(2, ok, f"worst supercritical |mean - theory| {sup_dev:.4f} "
-                          f"(< 0.05), worst subcritical level {sub_level:.4f} "
-                          f"(< 0.05), correlation {corr:.4f} (> 0.99), "
-                          f"{elapsed:.1f}s (< 120s)")
+    assert _report_check(2, "exp1_transition", results, elapsed, 120.0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +90,9 @@ def test_criterion_02_transition_matches_theory():
 
 def test_criterion_03_phase_diagram_correlation():
     start = time.perf_counter()
-    result = _run_preset("exp2_phase_diagram")["phase_diagram"]
+    results = _run_preset("exp2_phase_diagram")
     elapsed = time.perf_counter() - start
-    corr = result.correlation
-    ok = corr > 0.97 and elapsed < 300.0
-    assert _report(3, ok, f"grid correlation {corr:.4f} (> 0.97), "
-                          f"{elapsed:.1f}s (< 300s)")
+    assert _report_check(3, "exp2_phase_diagram", results, elapsed, 300.0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,44 +103,25 @@ def test_criterion_04_transition_sharpens_with_n():
     start = time.perf_counter()
     results = _run_preset("exp3_finite_size")
     elapsed = time.perf_counter() - start
-    widths = {int(name[1:]): transition_width(result.points)
-              for name, result in results.items()}
-    ns = sorted(widths)
-    finite = all(np.isfinite(widths[n]) for n in ns)
-    decreasing = all(widths[a] > widths[b] for a, b in zip(ns, ns[1:]))
-    detail = ", ".join(f"N={n}: width {widths[n]:.4f}" for n in ns)
-    ok = ns == [100, 500, 2000] and finite and decreasing and elapsed < 180.0
-    assert _report(4, ok, f"{detail} (strictly decreasing), "
-                          f"{elapsed:.1f}s (< 180s)")
+    ns = sorted(int(name[1:]) for name in results)
+    assert _report_check(4, "exp3_finite_size", results, elapsed, 180.0,
+                         ("desk variants N = 100, 500, 2000",
+                          ns == [100, 500, 2000], f"N = {ns}"))
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: joint masking needs a stronger spike than single-view masking
 
 
-def _boundaries_by_level(result) -> dict:
-    levels: dict[float, list] = {}
-    for p in result.points:
-        levels.setdefault(p.axis2, []).append(p)
-    return {m: empirical_boundary(pts) for m, pts in levels.items()}
-
-
 def test_criterion_05_joint_masking_boundary_above_single():
     start = time.perf_counter()
     results = _run_preset("exp4_missingness_modes")
     elapsed = time.perf_counter() - start
-    single = _boundaries_by_level(results["single_view"])
-    joint = _boundaries_by_level(results["joint"])
-    rows = []
-    ok = elapsed < 300.0
-    for m in sorted(single):
-        if not 0.2 - 1e-9 <= m <= 0.7 + 1e-9:
-            continue
-        s, j = single[m], joint.get(m, float("nan"))
-        rows.append(f"m={m:.1f}: joint {j:.3f} vs single {s:.3f}")
-        ok = ok and np.isfinite(s) and np.isfinite(j) and j > s
-    ok = ok and len(rows) == 6
-    assert _report(5, ok, "; ".join(rows) + f", {elapsed:.1f}s (< 300s)")
+    levels = {p.axis2 for p in results["single_view"].points
+              if 0.2 - 1e-9 <= p.axis2 <= 0.7 + 1e-9}
+    assert _report_check(5, "exp4_missingness_modes", results, elapsed, 300.0,
+                         ("six desk mask levels in [0.2, 0.7]",
+                          len(levels) == 6, f"{len(levels)} levels"))
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +130,9 @@ def test_criterion_05_joint_masking_boundary_above_single():
 
 def test_criterion_06_split_half_regimes():
     start = time.perf_counter()
-    result = _run_preset("exp6_split_half")["split_half"]
+    results = _run_preset("exp6_split_half")
     elapsed = time.perf_counter() - start
-    sqrt2 = float(np.sqrt(2.0))
-    below = [p for p in result.points if p.theta < p.theta_crit]
-    middle = [p for p in result.points
-              if p.theta_crit < p.theta < sqrt2 * p.theta_crit]
-    above = [p for p in result.points if p.theta > 2.0 * p.theta_crit]
-    worst_below = max(p.mean_stability for p in below)
-    ok_a = bool(below) and worst_below < 0.3
-    ok_b = any(p.mean_r2x > 0.2 and p.mean_stability < 0.6 for p in middle)
-    worst_above = min(p.mean_stability for p in above)
-    ok_c = bool(above) and worst_above > 0.8
-    ok = ok_a and ok_b and ok_c and elapsed < 180.0
-    assert _report(6, ok, f"subcritical worst stability {worst_below:.3f} "
-                          f"(< 0.3), unstable-recovery band point found: "
-                          f"{ok_b} ({len(middle)} candidates), supercritical "
-                          f"worst stability {worst_above:.3f} (> 0.8), "
-                          f"{elapsed:.1f}s (< 180s)")
+    assert _report_check(6, "exp6_split_half", results, elapsed, 180.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,33 +193,16 @@ def test_criterion_08_cross_covariance_mean_alignment():
 
 
 def test_criterion_09_no_masked_estimator_beats_rescaled_zero_fill():
+    # the check reads every estimator at 1.5 theta_crit, so only that
+    # point of the b3_baselines grid is run
     start = time.perf_counter()
-    stats = {}
+    results = {}
     for item in preset_config("b3_baselines", "desk").items:
         axis = dataclasses.replace(item.spec.axis, values=(1.5,))
-        spec = dataclasses.replace(item.spec, axis=axis)
-        point = run_sweep(spec, threads=1).points[0]
-        se = point.std_r2x / np.sqrt(max(point.trials_effective, 1))
-        stats[item.name] = (point.mean_r2x, se)
+        results[item.name] = run_sweep(dataclasses.replace(item.spec, axis=axis),
+                                       threads=1)
     elapsed = time.perf_counter() - start
-    ref_mean, ref_se = stats["pls_svd_zero"]
-    masked = [name for name in stats if name != "oracle"]
-    beat_margins = {
-        name: (stats[name][0] - ref_mean) / np.hypot(stats[name][1], ref_se)
-        for name in masked if name != "pls_svd_zero"}
-    ok_a = all(margin <= 2.0 for margin in beat_margins.values())
-    o_mean, o_se = stats["oracle"]
-    oracle_margins = {
-        name: (o_mean - stats[name][0]) / np.hypot(o_se, stats[name][1])
-        for name in masked}
-    ok_b = all(margin > 2.0 for margin in oracle_margins.values())
-    ok = ok_a and ok_b and elapsed < 180.0
-    best_rival = max(beat_margins, key=beat_margins.get)
-    assert _report(9, ok, f"largest masked-vs-zero-fill margin "
-                          f"{beat_margins[best_rival]:.2f} SE ({best_rival}, "
-                          f"<= 2), smallest oracle margin "
-                          f"{min(oracle_margins.values()):.2f} SE (> 2), "
-                          f"{elapsed:.1f}s (< 180s)")
+    assert _report_check(9, "b3_baselines", results, elapsed, 180.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +210,13 @@ def test_criterion_09_no_masked_estimator_beats_rescaled_zero_fill():
 
 
 def test_criterion_10_non_gaussian_noise_accuracy():
+    # the check reads the gaussian, laplace and student_t5 variants only
     start = time.perf_counter()
-    wanted = ("gaussian", "laplace", "student_t5")
     results = {item.name: run_sweep(item.spec, threads=1)
                for item in preset_config("b1_noise", "desk").items
-               if item.name in wanted}
+               if item.name in ("gaussian", "laplace", "student_t5")}
     elapsed = time.perf_counter() - start
-    rows = []
-    ok = elapsed < 180.0
-    for name in wanted:
-        points = [p for p in results[name].points
-                  if p.theta > 1.1 * p.theta_crit]
-        mean_dev = float(np.mean([abs(p.mean_r2x - p.theory_r2x)
-                                  for p in points]))
-        rows.append(f"{name} {mean_dev:.4f}")
-        ok = ok and bool(points) and mean_dev < 0.05
-    assert _report(10, ok, "mean |overlap - theory|: " + ", ".join(rows)
-                           + f" (each < 0.05), {elapsed:.1f}s (< 180s)")
+    assert _report_check(10, "b1_noise", results, elapsed, 180.0)
 
 
 # ---------------------------------------------------------------------------

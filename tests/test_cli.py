@@ -228,6 +228,27 @@ def test_run_rejects_bad_config_document(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("sweep", [
+    {"base": [], "axis": {"name": "theta", "values": [1.0]}},
+    {**SMALL_SWEEP["sweep"], "estimator": ["em_pls"]},
+    {**SMALL_SWEEP["sweep"],
+     "base": {**SMALL_SWEEP["sweep"]["base"], "mask_x": None}},
+    {**SMALL_SWEEP["sweep"], "trials": 2.9},
+])
+def test_run_rejects_malformed_sweep_as_configuration_error(tmp_path, capsys, sweep):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"sweep": sweep}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: sweep.")
+
+
+def test_run_rejects_non_integer_override(capsys):
+    code = main(["run", "--preset", "exp1_transition", "--override", "trials=2.9"])
+    assert code == EXIT_CONFIG
+    assert "override 'trials' must be an integer, got 2.9" in capsys.readouterr().err
+
+
 def test_run_rejects_overrides_on_raw_sweep(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(SMALL_SWEEP))
@@ -276,6 +297,16 @@ def test_console_script_smoke():
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+
+def test_package_exposes_its_submodules():
+    # a fresh interpreter must find the submodules on the package after a
+    # bare ``import maskedpls``; the benchmark's tracer looks them up there
+    names = ["estimators", "harness", "linalg", "matio", "presets", "synth"]
+    code = f"import maskedpls; print([hasattr(maskedpls, n) for n in {names!r}])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == str([True] * len(names))
 
 
 def test_check_mode_prints_markers_and_exit_code(capsys):

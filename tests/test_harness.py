@@ -14,13 +14,13 @@ from maskedpls.harness import (
     SweepSpec,
     correlation_with_theory,
     empirical_boundary,
-    finite_size_study,
     grid_assignments,
     result_digest,
     run_sweep,
     run_trial,
     transition_width,
 )
+from maskedpls.presets import ConfigError, preset_config
 from maskedpls.streams import derive_seed
 from maskedpls.synth import MaskSpec, ModelConfig
 from maskedpls.theory import critical_threshold
@@ -352,18 +352,24 @@ def test_transition_width_edge_cases():
 
 
 def test_finite_size_study_validation():
-    with pytest.raises(ValueError, match="straddle"):
-        finite_size_study(2.0, 2.0, 0.1, [100], theta_window=(1.05, 1.2, 5))
-    with pytest.raises(ValueError, match="3 points"):
-        finite_size_study(2.0, 2.0, 0.1, [100], theta_window=(0.9, 1.1, 2))
+    # the exp3_finite_size preset needs at least three window points to
+    # measure a transition width
+    with pytest.raises(ConfigError, match="at least 3"):
+        preset_config("exp3_finite_size", "desk", {"theta_points": 2})
 
 
 def test_finite_size_study_small_run():
-    result = finite_size_study(2.0, 4.0, 0.1, [80, 160],
-                               theta_window=(0.7, 1.4, 5), trials=3, seed=1,
-                               threads=2)
-    assert set(result.sweeps) == {80, 160}
-    assert set(result.widths) == {80, 160}
-    for n, sweep in result.sweeps.items():
-        assert len(sweep.points) == 5
-        assert all(p.n_samples == n for p in sweep.points)
+    resolved = preset_config("exp3_finite_size", "desk",
+                             {"trials": 2, "theta_points": 3, "seed": 1})
+    assert [item.name for item in resolved.items] == ["n100", "n500", "n2000"]
+    for item in resolved.items:
+        n = item.spec.base.n_samples
+        assert item.spec.base.seed == derive_seed(1, "finite-size", n)
+        assert item.spec.trials == 2 and len(item.spec.axis.values) == 3
+    # the two smaller sizes keep the run short; N=2000 sweeps the same way
+    for item in resolved.items[:2]:
+        sweep = run_sweep(item.spec, threads=2)
+        assert sweep.digest == run_sweep(item.spec, threads=1).digest
+        assert len(sweep.points) == 3
+        assert all(p.n_samples == item.spec.base.n_samples for p in sweep.points)
+        assert np.isfinite(transition_width(sweep.points))

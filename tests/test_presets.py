@@ -1,5 +1,6 @@
 """Tests for preset resolution, config parsing, and check clauses."""
 
+import copy
 import json
 
 import numpy as np
@@ -236,21 +237,118 @@ def test_parse_config_surfaces_model_validation():
         parse_config(json.dumps(doc))
 
 
+_MINIMAL_SWEEP = {"base": {"n_samples": 100, "dx": 10, "dy": 8, "theta": 1.0},
+                  "axis": {"name": "theta", "values": [1.0]}}
+
+
+def _sweep_with(path: tuple, value=None, delete: bool = False) -> str:
+    sweep = copy.deepcopy(_MINIMAL_SWEEP)
+    node = sweep
+    for key in path[:-1]:
+        node = node[key]
+    if delete:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps({"sweep": sweep})
+
+
+@pytest.mark.parametrize("path, value, message", [
+    # a sub-document that is not an object
+    (("base",), [], r"sweep\.base must be an object"),
+    (("estimator",), ["em_pls"], r"sweep\.estimator must be an object"),
+    (("base", "mask_x"), None, r"sweep\.base\.mask_x must be an object"),
+    (("diagnostics",), "on", r"sweep\.diagnostics must be an object"),
+    # integer fields take integral numbers only, never booleans
+    (("trials",), 2.9, r"sweep\.trials must be an integer, got 2\.9"),
+    (("trials",), True, r"sweep\.trials must be an integer, got True"),
+    (("base", "n_samples"), 100.7, r"sweep\.base\.n_samples must be an integer"),
+    (("base", "seed"), "3", r"sweep\.base\.seed must be an integer"),
+    # every other JSON type is checked too
+    (("base", "theta"), True, r"sweep\.base\.theta must be a number"),
+    (("base", "theta"), "1.0", r"sweep\.base\.theta must be a number"),
+    (("axis", "values"), 1.0, r"sweep\.axis\.values must be a list"),
+    (("axis", "values"), [1.0, False], r"sweep\.axis\.values\[1\] must be a number"),
+    (("axis", "name"), 3, r"sweep\.axis\.name must be a string"),
+    (("diagnostics",), {"split_half": 1}, r"split_half must be true or false"),
+    (("axis2",), [], r"sweep\.axis2 must be an object"),
+    # unknown keys at a nested level
+    (("base", "noise"), {"kind": "gaussian", "scale": 2},
+     r"unknown keys in sweep\.base\.noise: \['scale'\]"),
+    # dataclass validation surfaces as a configuration error
+    (("estimator",), {"name": "ridge"}, r"sweep\.estimator: unknown estimator"),
+    (("base", "mask_y"), {"target_rate": 1.5}, r"target_rate must be in"),
+])
+def test_sweep_decoder_rejects(path, value, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(_sweep_with(path, value))
+
+
+def test_sweep_decoder_requires_keys_without_defaults():
+    for path in (("base",), ("axis",), ("base", "theta"), ("axis", "values")):
+        with pytest.raises(ConfigError, match=f"missing required key '{path[-1]}'"):
+            parse_config(_sweep_with(path, delete=True))
+
+
+def test_sweep_decoder_fills_defaults_and_accepts_integral_numbers():
+    spec = parse_config(json.dumps({"sweep": _MINIMAL_SWEEP})).items[0].spec
+    assert spec == SweepSpec(base=ModelConfig(n_samples=100, dx=10, dy=8, theta=1.0),
+                             axis=Axis("theta", (1.0,)))
+    spec = parse_config(_sweep_with(("trials",), 4.0)).items[0].spec
+    assert spec.trials == 4 and isinstance(spec.trials, int)
+    spec = parse_config(_sweep_with(("base", "theta"), 2)).items[0].spec
+    assert spec.base.theta == 2.0 and isinstance(spec.base.theta, float)
+    assert parse_config(_sweep_with(("axis2",), None)).items[0].spec.axis2 is None
+
+
+def test_every_preset_spec_round_trips_through_the_sweep_form():
+    for name in PRESET_NAMES:
+        if name == "exp5_semi_synthetic":
+            continue  # needs real matrices, and its sweeps need a pair factory
+        for scale in ("paper", "desk"):
+            resolved = preset_config(name, scale)
+            for item in resolved.items:
+                doc = json.dumps({"sweep": resolved.echo["resolved"][item.name]})
+                again = parse_config(doc)
+                assert again.items[0].spec == item.spec, (name, scale, item.name)
+                assert again.echo == {"sweep": resolved.echo["resolved"][item.name]}
+
+
+@pytest.mark.parametrize("value", [2.9, True, 100.7, "2.5", None, [3]])
+def test_integer_overrides_reject_non_integers(value):
+    with pytest.raises(ConfigError, match="override 'trials' must be an integer"):
+        preset_config("exp1_transition", "desk", {"trials": value})
+    doc = {"preset": "exp1_transition", "overrides": {"trials": value}}
+    with pytest.raises(ConfigError, match="override 'trials' must be an integer"):
+        parse_config(json.dumps(doc))
+
+
+def test_integer_overrides_accept_integral_values():
+    for value in (7, 7.0, "7"):
+        spec = preset_config("exp1_transition", "desk", {"trials": value}).items[0].spec
+        assert spec.trials == 7 and isinstance(spec.trials, int)
+
+
 # ---------------------------------------------------------------------------
 # check clauses on synthetic results
 
 
 def test_check_exp1_clauses():
-    good_points = [
-        _point(axis1=0.5, theta=0.25, theta_crit=0.5,
-               mean_r2x=0.01, mean_r2y=0.01, theory_r2x=0.0, theory_r2y=0.0),
-        _point(axis1=2.0, theta=1.0, theta_crit=0.5,
-               mean_r2x=0.62, mean_r2y=0.82, theory_r2x=0.625,
-               theory_r2y=0.833),
-    ]
+    sub = _point(axis1=0.5, theta=0.25, theta_crit=0.5,
+                 mean_r2x=0.01, mean_r2y=0.01, theory_r2x=0.0, theory_r2y=0.0)
+    sup = _point(axis1=2.0, theta=1.0, theta_crit=0.5,
+                 mean_r2x=0.62, mean_r2y=0.82, theory_r2x=0.625,
+                 theory_r2y=0.833)
+    good_points = [sub] * 2 + [sup] * 5
     clauses = evaluate_check("exp1_transition",
                              {"transition": _fake_result(good_points, 0.995)})
     assert [ok for _, ok, _ in clauses] == [True, True, True]
+    assert clauses[0][2] == "worst deviation 0.0130 over 5 points"
+
+    # too few points on either side of the threshold fail the clauses
+    clauses = evaluate_check("exp1_transition",
+                             {"transition": _fake_result([sub, sup], 0.995)})
+    assert [ok for _, ok, _ in clauses] == [False, False, True]
 
     bad_points = [
         _point(axis1=2.0, theta=1.0, theta_crit=0.5,
@@ -327,11 +425,13 @@ def test_check_b3_margins():
     }
     clauses = evaluate_check("b3_baselines", results)
     assert clauses[0][1] is True
+    assert clauses[0][2] == "largest margin -2.00 SEs (em_pls)"
     assert clauses[1][1] is True
 
     results["mean_impute"] = result_with(0.75, 0.05)  # beats primary by 7+ SE
     clauses = evaluate_check("b3_baselines", results)
     assert clauses[0][1] is False
+    assert clauses[0][2] == "largest margin 15.00 SEs (mean_impute)"
 
 
 def test_check_generic_for_unknown_presets():

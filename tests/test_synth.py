@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from maskedpls import synth
+from maskedpls.matio import write_matrix
+from maskedpls.presets import preset_config
 from maskedpls.streams import substream
 from maskedpls.synth import (
     MASK_MECHANISMS,
@@ -16,7 +18,6 @@ from maskedpls.synth import (
     prepare_semi_synthetic,
     sample_mask,
     sample_noise,
-    semi_synthetic_pair,
 )
 
 
@@ -410,31 +411,39 @@ def test_prepare_semi_synthetic_validation():
         prepare_semi_synthetic(x[:5], y[:5], 8)
 
 
-def test_semi_synthetic_pair_roundtrip():
-    x, y = _fake_real_views()
-    pair = semi_synthetic_pair(x, y, target_dims=8, theta=1.2,
-                               mask_x=MaskSpec("mcar", 0.2),
-                               mask_y=MaskSpec("mcar", 0.2), seed=4)
-    assert pair.x_obs.shape == (150, 8)
-    assert pair.y_obs.shape == (150, 8)
-    again = semi_synthetic_pair(x, y, target_dims=8, theta=1.2,
-                                mask_x=MaskSpec("mcar", 0.2),
-                                mask_y=MaskSpec("mcar", 0.2), seed=4)
-    np.testing.assert_array_equal(pair.y_obs, again.y_obs)
-
-
-def test_planted_pair_matches_semi_synthetic():
+def test_planted_pair_roundtrip():
     x, y = _fake_real_views()
     design, u_dir, v_dir = prepare_semi_synthetic(x, y, target_dims=8)
-    direct = semi_synthetic_pair(x, y, target_dims=8, theta=1.2,
-                                 mask_x=MaskSpec("mcar", 0.2),
-                                 mask_y=MaskSpec("mcar", 0.2), seed=4)
-    via_factory = planted_pair(design, u_dir, v_dir, theta=1.2,
-                               noise=NoiseSpec(),
-                               mask_x=MaskSpec("mcar", 0.2),
-                               mask_y=MaskSpec("mcar", 0.2), seed=4)
-    np.testing.assert_array_equal(direct.y_obs, via_factory.y_obs)
-    np.testing.assert_array_equal(direct.mask_x, via_factory.mask_x)
+
+    def draw(seed):
+        return planted_pair(design, u_dir, v_dir, theta=1.2, noise=NoiseSpec(),
+                            mask_x=MaskSpec("mcar", 0.2),
+                            mask_y=MaskSpec("mcar", 0.2), seed=seed)
+
+    pair = draw(4)
+    assert pair.x_obs.shape == (150, 8)
+    assert pair.y_obs.shape == (150, 8)
+    np.testing.assert_array_equal(pair.y_obs, draw(4).y_obs)
+    assert not np.array_equal(pair.y_obs, draw(5).y_obs)
+
+
+def test_planted_pair_matches_semi_synthetic(tmp_path):
+    # the exp5_semi_synthetic preset draws its pairs through the same
+    # prepare_semi_synthetic + planted_pair path
+    x, y = _fake_real_views()
+    write_matrix(tmp_path / "x.mat", x)
+    write_matrix(tmp_path / "y.mat", y)
+    item = preset_config("exp5_semi_synthetic", "desk", {
+        "x_matrix": str(tmp_path / "x.mat"), "y_matrix": str(tmp_path / "y.mat"),
+        "target_dims": 8}).items[0]
+    via_preset = item.pair_factory(item.spec.base)
+    design, u_dir, v_dir = prepare_semi_synthetic(x, y, target_dims=8)
+    base = item.spec.base
+    direct = planted_pair(design, u_dir, v_dir, theta=base.theta,
+                          noise=NoiseSpec(), mask_x=MaskSpec("mcar", 0.3),
+                          mask_y=MaskSpec("mcar", 0.3), seed=base.seed)
+    np.testing.assert_array_equal(direct.y_obs, via_preset.y_obs)
+    np.testing.assert_array_equal(direct.mask_x, via_preset.mask_x)
 
 
 def test_planted_pair_validation():

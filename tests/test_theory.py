@@ -12,7 +12,6 @@ from maskedpls.theory import (
     is_supercritical,
     maximize_objective_grid,
     optimal_susceptibilities,
-    phase_boundary,
     predict,
     stationarity_residual,
     variational_objective,
@@ -162,12 +161,13 @@ def test_predict_bundles_fields():
 
 
 def test_phase_boundary_grid():
+    # the critical threshold as a function of the retention rho is the
+    # phase boundary; it falls strictly as more entries are observed
     rhos = np.linspace(0.1, 1.0, 25)
-    bound = phase_boundary(3.0, 5.0, rhos)
-    assert bound.shape == (25,)
+    bound = np.array([critical_threshold(3.0, 5.0, r) for r in rhos])
     assert np.all(np.diff(bound) < 0)
-    np.testing.assert_allclose(
-        bound, [critical_threshold(3.0, 5.0, r) for r in rhos], rtol=1e-14)
+    np.testing.assert_allclose(bound * np.sqrt(rhos), (3.0 * 5.0) ** -0.25,
+                               rtol=1e-14)
 
 
 def test_phase_boundary_mask_rate_parameterization():
