@@ -8,12 +8,11 @@ completion, and an oracle that sees the unmasked data.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConvergenceError, SingularTriple, top_singular_pair, vector_correlation
+from .linalg import top_singular_pair, vector_correlation
 from .streams import substream
 from .synth import MaskedPair
 
@@ -48,7 +47,6 @@ class EstimateResult:
     r2_x: float
     r2_y: float
     iterations: int
-    runtime: float
 
 
 def rescaled_cross_covariance(pair: MaskedPair,
@@ -75,16 +73,6 @@ def squared_overlaps(u_hat, v_hat, u0, v0) -> tuple[float, float]:
             vector_correlation(v_hat, v0) ** 2)
 
 
-def _top_pair_lenient(c: np.ndarray) -> SingularTriple:
-    # subcritical cross-covariances have a quasi-degenerate top of the
-    # spectrum; an unconverged direction there is statistically
-    # indistinguishable from the converged one, so keep the partial
-    try:
-        return top_singular_pair(c)
-    except ConvergenceError as err:
-        return err.partial
-
-
 def _column_mean_impute(obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     counts = mask.sum(axis=0)
     sums = np.where(mask, obs, 0.0).sum(axis=0)
@@ -102,7 +90,7 @@ def _em_pls(pair: MaskedPair, kind: EstimatorKind):
     iterations = kind.max_iter
     for it in range(1, kind.max_iter + 1):
         c = x_imp.T @ y_imp / n
-        triple = _top_pair_lenient(c)
+        triple = top_singular_pair(c)
         sigma = triple.value
         if sigma_prev is not None and abs(sigma - sigma_prev) <= kind.tol * max(
                 sigma_prev, np.finfo(float).tiny):
@@ -139,19 +127,20 @@ def _hard_impute(obs: np.ndarray, mask: np.ndarray, rank: int, max_iter: int,
 def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
     """Run one estimator on one masked pair.
 
-    Non-convergence of the iterative refinements is reported through the
-    iteration count rather than raised; a cross-covariance with no
-    leading direction at all (e.g. an all-missing view) is an error.
+    Non-convergence is not raised: the iterative refinements report it
+    through the iteration count, and an unconverged leading pair (a
+    quasi-degenerate subcritical spectrum) is used as is.  A
+    cross-covariance with no leading direction at all (e.g. an
+    all-missing view) is an error.
     """
-    t0 = time.perf_counter()
     n = pair.n_samples
     iterations = 1
     if kind.name == "pls_svd_zero":
-        triple = _top_pair_lenient(rescaled_cross_covariance(pair))
+        triple = top_singular_pair(rescaled_cross_covariance(pair))
     elif kind.name == "mean_impute":
         x_imp = _column_mean_impute(pair.x_obs, pair.mask_x)
         y_imp = _column_mean_impute(pair.y_obs, pair.mask_y)
-        triple = _top_pair_lenient(x_imp.T @ y_imp / n)
+        triple = top_singular_pair(x_imp.T @ y_imp / n)
     elif kind.name == "em_pls":
         triple, iterations = _em_pls(pair, kind)
     elif kind.name == "iterative_svd":
@@ -159,16 +148,15 @@ def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
                                     kind.max_iter, kind.tol)
         y_comp, it_y = _hard_impute(pair.y_obs, pair.mask_y, kind.rank,
                                     kind.max_iter, kind.tol)
-        triple = _top_pair_lenient(x_comp.T @ y_comp / n)
+        triple = top_singular_pair(x_comp.T @ y_comp / n)
         iterations = it_x + it_y
     else:  # oracle
         if pair.x_latent is None or pair.y_latent is None:
             raise ValueError("oracle estimator needs the latent complete matrices")
-        triple = _top_pair_lenient(pair.x_latent.T @ pair.y_latent / n)
-    runtime = time.perf_counter() - t0
+        triple = top_singular_pair(pair.x_latent.T @ pair.y_latent / n)
     r2_x, r2_y = squared_overlaps(triple.left, triple.right, pair.u0, pair.v0)
     return EstimateResult(u_hat=triple.left, v_hat=triple.right, r2_x=r2_x,
-                          r2_y=r2_y, iterations=iterations, runtime=runtime)
+                          r2_y=r2_y, iterations=iterations)
 
 
 def split_half_stability(pair: MaskedPair, seed: int) -> float:
@@ -191,8 +179,7 @@ def split_half_stability(pair: MaskedPair, seed: int) -> float:
         c = pair.x_obs[idx].T @ pair.y_obs[idx] / (len(idx) * np.sqrt(pair.rho))
         if not c.any():
             raise ValueError("degenerate half: empty cross-covariance")
-        triple = _top_pair_lenient(c)
-        pairs.append(triple)
+        pairs.append(top_singular_pair(c))
     s_u = abs(vector_correlation(pairs[0].left, pairs[1].left))
     s_v = abs(vector_correlation(pairs[0].right, pairs[1].right))
     return 0.5 * (s_u + s_v)

@@ -154,13 +154,13 @@ def _resolved_config(base: ModelConfig, assignments: Mapping[str, float],
             n = int(round(value))
             dx = max(1, round(n / base.alpha_x))
             dy = max(1, round(n / base.alpha_y))
+    config = dataclasses.replace(base, n_samples=n, dx=dx, dy=dy,
+                                 mask_x=mask_x, mask_y=mask_y, seed=seed)
     theta = float(assignments.get("theta", base.theta))
     if "theta_over_crit" in assignments:
-        rho = (1.0 - mask_x.target_rate) * (1.0 - mask_y.target_rate)
-        crit = critical_threshold(n / dx, n / dy, rho)
+        crit = critical_threshold(config.alpha_x, config.alpha_y, config.rho)
         theta = float(assignments["theta_over_crit"]) * crit
-    return dataclasses.replace(base, n_samples=n, dx=dx, dy=dy, theta=theta,
-                               mask_x=mask_x, mask_y=mask_y, seed=seed)
+    return dataclasses.replace(config, theta=theta)
 
 
 def grid_assignments(spec: SweepSpec) -> list[dict[str, float]]:

@@ -31,27 +31,16 @@ _CHOLESKY_ORTHO_ATOL = 64 * np.finfo(np.float64).eps
 _START_KEY = 0x720A11CE
 
 
-class ConvergenceError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget.
-
-    Carries the best available triple so callers that can tolerate an
-    unconverged direction (e.g. estimators at subcritical signal
-    strength, where the top of the spectrum is quasi-degenerate) may
-    proceed with it.
-    """
-
-    def __init__(self, message: str, partial: "SingularTriple"):
-        super().__init__(message)
-        self.partial = partial
-
-
 @dataclass(frozen=True)
 class SingularTriple:
-    """Leading singular pair (left, right) with its singular value."""
+    """Leading singular pair (left, right) with its singular value;
+    converged is False when power iteration ran out of its budget, and the
+    vectors are then its last unit-norm iterate."""
 
     left: np.ndarray
     right: np.ndarray
     value: float
+    converged: bool
 
 
 def _as_matrix(m, op: str) -> np.ndarray:
@@ -137,8 +126,8 @@ def top_singular_pair(m, tol: float = 1e-12, max_iter: int = 1000) -> SingularTr
     Power iteration on the smaller Gram matrix, with a dense SVD
     fallback when min(rows, cols) <= DENSE_FALLBACK_DIM.  Convergence is
     declared when the Rayleigh quotient changes by at most ``tol``
-    relative to its magnitude; otherwise raises ConvergenceError with
-    spectral-gap diagnostics (the partial result rides on the error).
+    relative to its magnitude; otherwise the last iterate is returned
+    with converged=False.
     """
     a = _as_matrix(m, "top_singular_pair")
     if not tol > 0:
@@ -152,7 +141,8 @@ def top_singular_pair(m, tol: float = 1e-12, max_iter: int = 1000) -> SingularTr
     if min(rows, cols) <= DENSE_FALLBACK_DIM:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         left, right = _canonical_signs(u[:, 0], vt[0])
-        return SingularTriple(left=left, right=right, value=float(s[0]))
+        return SingularTriple(left=left, right=right, value=float(s[0]),
+                              converged=True)
 
     # iterate on the smaller of the two Gram matrices
     right_side = cols <= rows
@@ -163,7 +153,6 @@ def top_singular_pair(m, tol: float = 1e-12, max_iter: int = 1000) -> SingularTr
     x /= np.linalg.norm(x)
 
     lam_prev = np.inf
-    lam = 0.0
     converged = False
     for _ in range(max_iter):
         y = b @ x
@@ -181,7 +170,6 @@ def top_singular_pair(m, tol: float = 1e-12, max_iter: int = 1000) -> SingularTr
             break
         lam_prev = lam
 
-    sigma_sq = max(lam, 0.0)
     if right_side:
         right = x
         left_raw = a @ right
@@ -193,18 +181,8 @@ def top_singular_pair(m, tol: float = 1e-12, max_iter: int = 1000) -> SingularTr
         value = float(np.linalg.norm(right_raw))
         right = right_raw / value
     left, right = _canonical_signs(left, right)
-    triple = SingularTriple(left=left, right=right, value=value)
-
-    if not converged:
-        rel = abs(lam - lam_prev) / max(abs(lam), np.finfo(float).tiny)
-        raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(last relative Rayleigh change {rel:.3e}); the top of the "
-            "spectrum is likely quasi-degenerate (small spectral gap "
-            f"around sigma ~ {np.sqrt(sigma_sq):.6g})",
-            partial=triple,
-        )
-    return triple
+    return SingularTriple(left=left, right=right, value=value,
+                          converged=converged)
 
 
 def pca_reduce(m, target_dims: int) -> np.ndarray:

@@ -15,7 +15,9 @@ dataclass default are required, each value must have its field's JSON
 type (an integer field takes only integral numbers, never booleans), and
 an absent optional key takes the dataclass default.  The resolved echo
 printed by the CLI is itself a valid config document; feeding it back
-reproduces the run bit-for-bit.
+reproduces the run bit-for-bit.  Its ``resolved`` section must equal the
+one regenerated from the document's own preset, scale and overrides, so
+an edit there is rejected rather than silently ignored.
 
 ``evaluate_check`` holds the one copy of each preset's expected findings
 and their thresholds; ``--check`` mode and the acceptance tests both
@@ -25,6 +27,7 @@ read their verdicts from it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import typing
 from dataclasses import MISSING, dataclass
@@ -207,24 +210,17 @@ def _exp5(scale: str, ov: _Overrides) -> list[RunItem]:
     y_real = ingest_matrix(y_path)
 
     def _factory_from(x_mat, y_mat) -> PairFactory:
-        design, u_dir, v_dir = prepare_semi_synthetic(x_mat, y_mat, target_dims)
-
-        def factory(config: ModelConfig):
-            return planted_pair(design, u_dir, v_dir, config.theta,
-                                config.noise, config.mask_x, config.mask_y,
-                                config.seed)
-
-        return factory
+        return functools.partial(
+            planted_pair, *prepare_semi_synthetic(x_mat, y_mat, target_dims))
 
     n = x_real.shape[0]
-    alpha = n / target_dims
     base = ModelConfig(n_samples=n, dx=target_dims, dy=target_dims, theta=1.0,
                        mask_x=_mcar(0.3), mask_y=_mcar(0.3), seed=seed)
     theta_axis = Axis("theta_over_crit", _linspace(0.5, 2.5, points))
     real_factory = _factory_from(x_real, y_real)
     # masking sweep holds the signal fixed at 1.5x the threshold of the
     # reference masking level 0.3, so only the mask axis moves
-    theta_ref = 1.5 * critical_threshold(alpha, alpha, (1.0 - 0.3) ** 2)
+    theta_ref = 1.5 * critical_threshold(base.alpha_x, base.alpha_y, base.rho)
     mask_base = dataclasses.replace(base, theta=theta_ref)
     rng = substream(derive_seed(seed, "exp5-random"), "control")
     x_rand = rng.standard_normal(x_real.shape)
@@ -412,6 +408,19 @@ def _decode(tp, value, context: str):
     return decoded
 
 
+def _check_resolved(section, echo: dict) -> None:
+    """Reject an echo whose "resolved" section is not the one its own
+    preset, scale and overrides regenerate: edits there would be ignored."""
+    expected = json.loads(json.dumps(echo["resolved"]))
+    section = section if isinstance(section, dict) else {}
+    differ = sorted(name for name in set(section) | set(expected)
+                    if section.get(name) != expected.get(name))
+    if differ:
+        raise ConfigError(
+            f"resolved section differs from what preset {echo['preset']!r} "
+            f"regenerates for variants {differ}; change the overrides instead")
+
+
 def parse_config(text: str, overrides: Mapping | None = None,
                  seed: int | None = None) -> ResolvedConfig:
     """Resolve a JSON config document, optionally merging command-line
@@ -423,17 +432,17 @@ def parse_config(text: str, overrides: Mapping | None = None,
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     if "preset" in doc:
-        # "resolved" is tolerated so an echoed document can be re-fed;
-        # it is regenerated, never trusted
         _check_keys(doc, {"preset", "scale", "overrides", "resolved"}, "config")
-        merged = doc.get("overrides", {})
-        if not isinstance(merged, dict):
+        name, scale = str(doc["preset"]), str(doc.get("scale", "desk"))
+        own = doc.get("overrides", {})
+        if not isinstance(own, dict):
             raise ConfigError("overrides must be an object")
-        merged = {**merged, **dict(overrides or {})}
+        merged = {**own, **dict(overrides or {})}
         if seed is not None:
             merged["seed"] = seed
-        return preset_config(str(doc["preset"]), str(doc.get("scale", "desk")),
-                             merged)
+        if "resolved" in doc:
+            _check_resolved(doc["resolved"], preset_config(name, scale, own).echo)
+        return preset_config(name, scale, merged)
     if "sweep" in doc:
         _check_keys(doc, {"sweep"}, "config")
         if overrides:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import pca_reduce, top_singular_pair, whiten, ConvergenceError
+from .linalg import pca_reduce, top_singular_pair, whiten
 from .streams import derive_seed, substream
 
 NOISE_KINDS = ("gaussian", "student_t", "laplace", "heteroskedastic")
@@ -156,12 +156,9 @@ def sample_noise(spec: NoiseSpec, rows: int, cols: int, seed: int) -> np.ndarray
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) cannot overflow; both branches on every entry beat a mask split
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _standardize(scores: np.ndarray) -> np.ndarray:
@@ -280,26 +277,39 @@ def _view_context(spec: MaskSpec, own_latent: np.ndarray,
     return None
 
 
-def _assemble_pair(x_star: np.ndarray, u0: np.ndarray, v0: np.ndarray,
-                   theta: float, noise: NoiseSpec, mask_x: MaskSpec,
-                   mask_y: MaskSpec, seed: int) -> MaskedPair:
-    n, dx = x_star.shape
-    dy = v0.shape[0]
+def planted_pair(design, u0, v0, config: ModelConfig) -> MaskedPair:
+    """Plant theta * outer(design @ u0, v0) plus noise as the response and
+    mask both views.  design is the n_samples x dx whitened design, u0
+    and v0 unit directions; everything else, rho included, comes from
+    config.  The semi-synthetic protocol reuses one design across trials.
+    """
+    x_star = np.asarray(design, dtype=np.float64)
+    u0 = np.asarray(u0, dtype=np.float64)
+    v0 = np.asarray(v0, dtype=np.float64)
+    n, dx, dy = config.n_samples, config.dx, config.dy
+    if x_star.shape != (n, dx):
+        raise ValueError(f"design must have shape {(n, dx)}, got {x_star.shape}")
+    if u0.shape != (dx,) or v0.shape != (dy,):
+        raise ValueError(
+            f"directions must have shapes ({dx},) and ({dy},), "
+            f"got {u0.shape} and {v0.shape}")
+    for name, vec in (("u0", u0), ("v0", v0)):
+        if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
+            raise ValueError(f"planted direction {name} must have unit norm")
     signal_scores = x_star @ u0
-    y_star = theta * np.outer(signal_scores, v0) + sample_noise(noise, n, dy, seed)
+    y_star = (config.theta * np.outer(signal_scores, v0)
+              + sample_noise(config.noise, n, dy, config.seed))
 
     # Convention: the signal-linked mechanism censors the response view
     # only; a signal_dependent request on the design view falls back to
     # MCAR at its own rate.
-    spec_x = mask_x
+    spec_x = config.mask_x
     if spec_x.mechanism == "signal_dependent":
         spec_x = MaskSpec("mcar", spec_x.target_rate, 0.0)
     ctx_x = _view_context(spec_x, x_star, y_star, None)
-    ctx_y = _view_context(mask_y, y_star, x_star, signal_scores)
-    sx = sample_mask(spec_x, ctx_x, n, dx, derive_seed(seed, "mask_x"))
-    sy = sample_mask(mask_y, ctx_y, n, dy, derive_seed(seed, "mask_y"))
-
-    rho = (1.0 - mask_x.target_rate) * (1.0 - mask_y.target_rate)
+    ctx_y = _view_context(config.mask_y, y_star, x_star, signal_scores)
+    sx = sample_mask(spec_x, ctx_x, n, dx, derive_seed(config.seed, "mask_x"))
+    sy = sample_mask(config.mask_y, ctx_y, n, dy, derive_seed(config.seed, "mask_y"))
     return MaskedPair(
         x_obs=np.where(sx, x_star, 0.0),
         y_obs=np.where(sy, y_star, 0.0),
@@ -307,41 +317,26 @@ def _assemble_pair(x_star: np.ndarray, u0: np.ndarray, v0: np.ndarray,
         mask_y=sy,
         u0=u0,
         v0=v0,
-        rho=rho,
+        rho=config.rho,
         x_latent=x_star,
         y_latent=y_star,
     )
 
 
-def _unit_directions(config: ModelConfig, directions):
-    if directions is None:
-        rng = substream(config.seed, "directions")
-        u0 = rng.standard_normal(config.dx)
-        v0 = rng.standard_normal(config.dy)
-        return u0 / np.linalg.norm(u0), v0 / np.linalg.norm(v0)
-    u0 = np.asarray(directions[0], dtype=np.float64)
-    v0 = np.asarray(directions[1], dtype=np.float64)
-    if u0.shape != (config.dx,) or v0.shape != (config.dy,):
-        raise ValueError(
-            f"directions must have shapes ({config.dx},) and ({config.dy},)")
-    for name, vec in (("u0", u0), ("v0", v0)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
-            raise ValueError(f"planted direction {name} must have unit norm")
-    return u0, v0
-
-
-def generate_pair(config: ModelConfig, directions=None) -> MaskedPair:
+def generate_pair(config: ModelConfig) -> MaskedPair:
     """Draw one masked two-view dataset from the generative model.
 
-    An exactly whitened Gaussian design, unit planted directions (drawn
-    on the sphere unless supplied), rank-1 cross signal of strength
-    theta plus unit-variance noise, and independent observation masks.
+    An exactly whitened Gaussian design and unit planted directions
+    drawn on the sphere, each from its own substream of config.seed,
+    handed to planted_pair.
     """
     rng_design = substream(config.seed, "design")
     x_star = whiten(rng_design.standard_normal((config.n_samples, config.dx)))
-    u0, v0 = _unit_directions(config, directions)
-    return _assemble_pair(x_star, u0, v0, config.theta, config.noise,
-                          config.mask_x, config.mask_y, config.seed)
+    rng = substream(config.seed, "directions")
+    u0 = rng.standard_normal(config.dx)
+    v0 = rng.standard_normal(config.dy)
+    return planted_pair(x_star, u0 / np.linalg.norm(u0), v0 / np.linalg.norm(v0),
+                        config)
 
 
 def prepare_semi_synthetic(x_real, y_real, target_dims: int):
@@ -373,31 +368,5 @@ def prepare_semi_synthetic(x_real, y_real, target_dims: int):
     x_red = pca_reduce(_standardize_cols(x), target_dims)
     y_red = pca_reduce(_standardize_cols(y), target_dims)
     x_w = whiten(x_red)
-    cross = x_w.T @ y_red / n
-    try:
-        triple = top_singular_pair(cross)
-    except ConvergenceError as err:
-        triple = err.partial
+    triple = top_singular_pair(x_w.T @ y_red / n)
     return x_w, triple.left, triple.right
-
-
-def planted_pair(design, u0, v0, theta: float, noise: NoiseSpec,
-                 mask_x: MaskSpec, mask_y: MaskSpec, seed: int) -> MaskedPair:
-    """Assemble a masked pair from a precomputed design and directions.
-
-    Lets callers that reuse one whitened design across many trials (the
-    semi-synthetic protocol) skip redoing the reduction every draw.
-    """
-    x_star = np.asarray(design, dtype=np.float64)
-    if x_star.ndim != 2:
-        raise ValueError(f"design must be 2-D, got shape {x_star.shape}")
-    if not theta >= 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
-    u = np.asarray(u0, dtype=np.float64)
-    v = np.asarray(v0, dtype=np.float64)
-    if u.shape != (x_star.shape[1],):
-        raise ValueError(f"u0 must have length {x_star.shape[1]}, got {u.shape}")
-    for name, vec in (("u0", u), ("v0", v)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
-            raise ValueError(f"{name} must have unit norm")
-    return _assemble_pair(x_star, u, v, theta, noise, mask_x, mask_y, seed)

@@ -24,7 +24,7 @@ from maskedpls.linalg import top_singular_pair, whiten
 from maskedpls.matio import emit_results, ingest_matrix, load_results, write_matrix
 from maskedpls.presets import evaluate_check, preset_config
 from maskedpls.synth import (MaskSpec, ModelConfig, NoiseSpec, generate_pair,
-                             sample_mask, sample_noise)
+                             planted_pair, sample_mask, sample_noise)
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:
@@ -252,8 +252,9 @@ def _property_sign_flip(rng) -> bool:
     u0 /= np.linalg.norm(u0)
     v0 = rng.standard_normal(16)
     v0 /= np.linalg.norm(v0)
-    plus = generate_pair(config, directions=(u0, v0))
-    minus = generate_pair(config, directions=(-u0, -v0))
+    design = generate_pair(config).x_latent
+    plus = planted_pair(design, u0, v0, config)
+    minus = planted_pair(design, -u0, -v0, config)
     if not (np.array_equal(plus.y_latent, minus.y_latent)
             and np.array_equal(plus.mask_x, minus.mask_x)
             and np.array_equal(plus.mask_y, minus.mask_y)):

@@ -134,7 +134,6 @@ def test_all_estimators_agree_without_masking():
         np.testing.assert_array_equal(res.v_hat, reference.v_hat, err_msg=name)
         assert res.r2_x == reference.r2_x
         assert res.iterations >= 1
-        assert res.runtime >= 0.0
 
 
 def test_estimate_result_fields():

@@ -15,6 +15,7 @@ from maskedpls.harness import (
 from maskedpls.matio import write_matrix
 from maskedpls.presets import (
     PRESET_NAMES,
+    SCALES,
     ConfigError,
     evaluate_check,
     parse_config,
@@ -177,11 +178,35 @@ def test_parse_config_preset_form_merges_overrides():
     assert reseeded.items[0].spec.base.seed == 42
 
 
-def test_parse_config_echo_roundtrip():
-    resolved = preset_config("exp1_transition", "desk", {"trials": 3})
-    again = parse_config(json.dumps(resolved.echo))
-    assert again.echo["preset"] == "exp1_transition"
-    assert again.items[0].spec == resolved.items[0].spec
+def test_parse_config_echo_roundtrip(tmp_path):
+    # every preset's echo at both scales re-parses to the same document,
+    # and --seed / --override still apply on top of it
+    rng = substream(8, "echo-views")
+    write_matrix(tmp_path / "x.mat", rng.standard_normal((40, 12)))
+    write_matrix(tmp_path / "y.mat", rng.standard_normal((40, 9)))
+    exp5 = {"x_matrix": str(tmp_path / "x.mat"),
+            "y_matrix": str(tmp_path / "y.mat"), "target_dims": 6}
+    for name in PRESET_NAMES:
+        for scale in SCALES:
+            overrides = {"trials": 3, **(exp5 if name == "exp5_semi_synthetic" else {})}
+            resolved = preset_config(name, scale, overrides)
+            text = json.dumps(resolved.echo, indent=2, sort_keys=True)
+            again = parse_config(text)
+            assert json.dumps(again.echo, indent=2, sort_keys=True) == text
+            assert [i.spec for i in again.items] == [i.spec for i in resolved.items]
+            rerun = parse_config(text, overrides={"trials": 2}, seed=7)
+            assert rerun.echo["overrides"]["seed"] == 7
+            assert {item.spec.trials for item in rerun.items} == {2}
+
+
+def test_parse_config_rejects_an_edited_resolved_section():
+    echo = json.loads(json.dumps(preset_config("b1_noise", "desk").echo))
+    echo["resolved"]["laplace"]["base"]["dy"] = 7
+    with pytest.raises(ConfigError, match=r"\['laplace'\]"):
+        parse_config(json.dumps(echo))
+    echo["resolved"] = []
+    with pytest.raises(ConfigError, match="for variants .*'gaussian'"):
+        parse_config(json.dumps(echo))
 
 
 def test_parse_config_rejects_bad_documents():

@@ -221,6 +221,23 @@ def test_mask_zero_rate_draws_nothing(monkeypatch):
         np.testing.assert_array_equal(m, np.ones((30, 10), dtype=bool))
 
 
+def test_sigmoid_is_bitwise_the_two_branch_form():
+    def two_branch(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    edges = np.array([0.0, -0.0, 50.0, -50.0, 800.0, -800.0, np.inf, -np.inf])
+    dense = 30.0 * substream(6, "sigmoid").standard_normal((1000, 200))
+    for z in (edges, dense):
+        got, want = synth._sigmoid(z), two_branch(z)
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(synth._sigmoid(edges[-2:]), [1.0, 0.0])
+
+
 def _bisect_intercept(scores, strength, target):
     # reference: 200 bisection steps on the mean missing probability
     shift = strength * scores
@@ -343,7 +360,7 @@ def test_generate_pair_deterministic():
 def test_generate_pair_sign_flip_invariance():
     cfg = _desk_config()
     pair = generate_pair(cfg)
-    flipped = generate_pair(cfg, directions=(-pair.u0, -pair.v0))
+    flipped = planted_pair(pair.x_latent, -pair.u0, -pair.v0, cfg)
     # the planted rank-1 signal is unchanged under a joint sign flip
     np.testing.assert_array_equal(pair.y_latent, flipped.y_latent)
     np.testing.assert_array_equal(pair.mask_x, flipped.mask_x)
@@ -360,15 +377,13 @@ def test_mask_rate_change_leaves_other_streams_alone():
     assert not np.array_equal(a.mask_x, b.mask_x)
 
 
-def test_generate_pair_rejects_bad_directions():
-    cfg = _desk_config()
-    with pytest.raises(ValueError, match="shapes"):
-        generate_pair(cfg, directions=(np.ones(3), np.ones(25)))
-    bad_u = np.full(40, 0.5)
-    good_v = np.zeros(25)
-    good_v[0] = 1.0
-    with pytest.raises(ValueError, match="unit norm"):
-        generate_pair(cfg, directions=(bad_u, good_v))
+def test_generate_pair_is_planted_pair_on_its_own_draws():
+    cfg = _desk_config(mask_y=MaskSpec("correlated", 0.3, 1.0))
+    pair = generate_pair(cfg)
+    again = planted_pair(pair.x_latent, pair.u0, pair.v0, cfg)
+    for name in ("x_obs", "y_obs", "mask_x", "mask_y", "y_latent"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(pair, name))
+    assert again.rho == pair.rho == cfg.rho
 
 
 def test_signal_dependent_on_design_view_falls_back_to_mcar():
@@ -416,9 +431,9 @@ def test_planted_pair_roundtrip():
     design, u_dir, v_dir = prepare_semi_synthetic(x, y, target_dims=8)
 
     def draw(seed):
-        return planted_pair(design, u_dir, v_dir, theta=1.2, noise=NoiseSpec(),
-                            mask_x=MaskSpec("mcar", 0.2),
-                            mask_y=MaskSpec("mcar", 0.2), seed=seed)
+        return planted_pair(design, u_dir, v_dir, ModelConfig(
+            n_samples=150, dx=8, dy=8, theta=1.2, mask_x=MaskSpec("mcar", 0.2),
+            mask_y=MaskSpec("mcar", 0.2), seed=seed))
 
     pair = draw(4)
     assert pair.x_obs.shape == (150, 8)
@@ -438,10 +453,7 @@ def test_planted_pair_matches_semi_synthetic(tmp_path):
         "target_dims": 8}).items[0]
     via_preset = item.pair_factory(item.spec.base)
     design, u_dir, v_dir = prepare_semi_synthetic(x, y, target_dims=8)
-    base = item.spec.base
-    direct = planted_pair(design, u_dir, v_dir, theta=base.theta,
-                          noise=NoiseSpec(), mask_x=MaskSpec("mcar", 0.3),
-                          mask_y=MaskSpec("mcar", 0.3), seed=base.seed)
+    direct = planted_pair(design, u_dir, v_dir, item.spec.base)
     np.testing.assert_array_equal(direct.y_obs, via_preset.y_obs)
     np.testing.assert_array_equal(direct.mask_x, via_preset.mask_x)
 
@@ -452,15 +464,16 @@ def test_planted_pair_validation():
     u[0] = 1.0
     v = np.zeros(6)
     v[0] = 1.0
-    with pytest.raises(ValueError, match="2-D"):
-        planted_pair(design[0], u, v, 1.0, NoiseSpec(),
-                     MaskSpec(), MaskSpec(), seed=0)
-    with pytest.raises(ValueError, match="length"):
-        planted_pair(design, np.ones(4) / 2.0, v, 1.0, NoiseSpec(),
-                     MaskSpec(), MaskSpec(), seed=0)
+    config = ModelConfig(n_samples=10, dx=10, dy=6, theta=1.0)
+    assert planted_pair(design, u, v, config).y_obs.shape == (10, 6)
+    with pytest.raises(ValueError, match="design must have shape"):
+        planted_pair(design[0], u, v, config)
+    # a design drawn for another geometry than the config's
+    with pytest.raises(ValueError, match=r"design must have shape \(12, 10\)"):
+        planted_pair(design, u, v, ModelConfig(n_samples=12, dx=10, dy=6, theta=1.0))
+    with pytest.raises(ValueError, match="shapes"):
+        planted_pair(design, np.ones(4) / 2.0, v, config)
+    with pytest.raises(ValueError, match="shapes"):
+        planted_pair(design, u, np.ones(4) / 2.0, config)
     with pytest.raises(ValueError, match="unit norm"):
-        planted_pair(design, 2.0 * u, v, 1.0, NoiseSpec(),
-                     MaskSpec(), MaskSpec(), seed=0)
-    with pytest.raises(ValueError, match="theta"):
-        planted_pair(design, u, v, -1.0, NoiseSpec(),
-                     MaskSpec(), MaskSpec(), seed=0)
+        planted_pair(design, 2.0 * u, v, config)
