@@ -49,22 +49,12 @@ class EstimateResult:
     iterations: int
 
 
-def rescaled_cross_covariance(pair: MaskedPair,
-                              estimate_rho: bool = False) -> np.ndarray:
-    """x_obs.T @ y_obs / (N * sqrt(rho)), the masking-corrected cross-covariance.
-
-    By default rho is the pair's configured joint retention probability.
-    With estimate_rho the product of the two views' observed mask
-    densities is used instead, for data whose rates are unknown.
-    """
-    if estimate_rho:
-        rho = float(pair.mask_x.mean()) * float(pair.mask_y.mean())
-    else:
-        rho = pair.rho
-    if not rho > 0:
-        raise ValueError(f"joint retention must be positive, got {rho}")
-    n = pair.n_samples
-    return pair.x_obs.T @ pair.y_obs / (n * np.sqrt(rho))
+def rescaled_cross_covariance(pair: MaskedPair) -> np.ndarray:
+    """x_obs.T @ y_obs / (N * sqrt(rho)), the masking-corrected
+    cross-covariance, with rho the pair's joint retention probability."""
+    if not pair.rho > 0:
+        raise ValueError(f"joint retention must be positive, got {pair.rho}")
+    return pair.x_obs.T @ pair.y_obs / (pair.n_samples * np.sqrt(pair.rho))
 
 
 def squared_overlaps(u_hat, v_hat, u0, v0) -> tuple[float, float]:

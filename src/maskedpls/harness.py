@@ -87,7 +87,6 @@ class TrialResult:
     r2_x: float
     r2_y: float
     stability: float
-    estimator: str
     runtime: float
     seed: int
     error: str | None = None
@@ -187,11 +186,10 @@ def run_trial(config: ModelConfig, estimator: EstimatorKind,
         else:
             stability = float("nan")
         return TrialResult(r2_x=fit.r2_x, r2_y=fit.r2_y, stability=stability,
-                           estimator=estimator.name,
                            runtime=time.perf_counter() - t0, seed=trial_seed)
     except Exception as err:  # noqa: BLE001 - trial isolation is the contract
         return TrialResult(r2_x=float("nan"), r2_y=float("nan"),
-                           stability=float("nan"), estimator=estimator.name,
+                           stability=float("nan"),
                            runtime=time.perf_counter() - t0, seed=trial_seed,
                            error=f"{type(err).__name__}: {err}")
 
@@ -300,21 +298,19 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
 
     def _job(key):
         i, t = key
-        return key, run_trial(configs[i], spec.estimator, spec.diagnostics, t,
-                              pair_factory=pair_factory)
+        return run_trial(configs[i], spec.estimator, spec.diagnostics, t,
+                         pair_factory=pair_factory)
 
-    results: dict[tuple[int, int], TrialResult] = {}
+    # pool.map keeps job order, so each point's trials are one contiguous slice
     if threads == 1:
-        for key in jobs:
-            results[key] = _job(key)[1]
+        trials = [_job(key) for key in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, trial in pool.map(_job, jobs):
-                results[key] = trial
+            trials = list(pool.map(_job, jobs))
 
     points = tuple(
         _summarize_point(assignments[i], spec, configs[i],
-                         [results[(i, t)] for t in range(spec.trials)])
+                         trials[i * spec.trials:(i + 1) * spec.trials])
         for i in range(len(configs)))
     supercritical = [p for p in points if p.theta > p.theta_crit]
     return SweepResult(

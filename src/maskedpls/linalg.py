@@ -14,9 +14,12 @@ import numpy as np
 from .streams import substream
 
 # Matrices with min(rows, cols) at or below this use a dense SVD instead
-# of power iteration; tiny problems are cheap and power iteration on
-# near-degenerate small Grams is the only thing that would struggle.
+# of power iteration, because tiny problems are cheap to solve exactly.
+# Power iteration can also stall on larger inputs whose top two singular
+# values nearly tie; it then returns converged=False.
 DENSE_FALLBACK_DIM = 32
+_POWER_TOL = 1e-12
+_POWER_MAX_ITER = 1000
 
 _RANK_RTOL = 1e-10
 # CholeskyQR acceptance: the Frobenius bound ||R||_F ||R^-1||_F caps the
@@ -120,20 +123,16 @@ def whiten(raw) -> np.ndarray:
     return np.sqrt(rows) * q * signs
 
 
-def top_singular_pair(m, tol: float = 1e-12, max_iter: int = 1000) -> SingularTriple:
+def top_singular_pair(m) -> SingularTriple:
     """Leading singular triple of a matrix.
 
     Power iteration on the smaller Gram matrix, with a dense SVD
     fallback when min(rows, cols) <= DENSE_FALLBACK_DIM.  Convergence is
-    declared when the Rayleigh quotient changes by at most ``tol``
-    relative to its magnitude; otherwise the last iterate is returned
-    with converged=False.
+    declared when the Rayleigh quotient changes by at most _POWER_TOL
+    relative to its magnitude; after _POWER_MAX_ITER steps without that,
+    the last iterate is returned with converged=False.
     """
     a = _as_matrix(m, "top_singular_pair")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if not a.any():
         raise ValueError("top_singular_pair: all-zero matrix has no leading direction")
 
@@ -154,7 +153,7 @@ def top_singular_pair(m, tol: float = 1e-12, max_iter: int = 1000) -> SingularTr
 
     lam_prev = np.inf
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         y = b @ x
         lam = float(x @ y)
         ny = np.linalg.norm(y)
@@ -165,7 +164,7 @@ def top_singular_pair(m, tol: float = 1e-12, max_iter: int = 1000) -> SingularTr
             lam_prev = np.inf
             continue
         x = y / ny
-        if abs(lam - lam_prev) <= tol * max(abs(lam), np.finfo(float).tiny):
+        if abs(lam - lam_prev) <= _POWER_TOL * max(abs(lam), np.finfo(float).tiny):
             converged = True
             break
         lam_prev = lam

@@ -16,12 +16,13 @@ temp file and an atomic rename.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
 import struct
 import tempfile
-from typing import Mapping, Sequence
+from typing import Mapping, get_type_hints
 
 import numpy as np
 
@@ -36,12 +37,6 @@ RESULT_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("axis1", "axis2", "mean_r2x", "std_r2x", "mean_r2y", "std_r2y",
                "mean_stability", "std_stability", "theory_r2x", "theory_r2y",
                "theta_crit", "trials_effective")
-
-_POINT_FIELDS = ("axis1", "axis2", "mean_r2x", "std_r2x", "mean_r2y",
-                 "std_r2y", "mean_stability", "std_stability", "theory_r2x",
-                 "theory_r2y", "theta_crit", "trials_requested",
-                 "trials_effective", "seeds_digest", "valid", "theta", "rho",
-                 "n_samples", "dx", "dy", "mean_runtime", "errors")
 
 
 class MatrixFormatError(ValueError):
@@ -188,7 +183,8 @@ def _jsonable(value):
 def results_to_json(result: SweepResult,
                     metadata: Mapping[str, object] | None = None) -> str:
     points = [
-        {name: _jsonable(getattr(p, name)) for name in _POINT_FIELDS}
+        {f.name: _jsonable(getattr(p, f.name))
+         for f in dataclasses.fields(PointSummary)}
         for p in result.points
     ]
     doc = {
@@ -214,31 +210,31 @@ def emit_results(result: SweepResult, path, fmt: str = "csv",
     _atomic_write_bytes(path, payload.encode("utf-8"))
 
 
-def _float_or_nan(value) -> float:
-    return float("nan") if value is None else float(value)
+def _point_value(tp, value, context: str):
+    """A JSON value as a ``PointSummary`` field of type ``tp``; a float
+    field reads null as NaN, and a value of any other JSON type raises."""
+    if tp == float | None:
+        return None if value is None else _point_value(float, value, context)
+    if tp is float and value is None:
+        return float("nan")
+    if tp is float and type(value) in (int, float):
+        return float(value)
+    if tp == tuple[str, ...] and type(value) is list and all(
+            type(v) is str for v in value):
+        return tuple(value)
+    if tp in (int, bool, str) and type(value) is tp:
+        return value
+    raise ValueError(f"{context} has the wrong type: {value!r}")
 
 
 def points_from_json(doc: Mapping) -> list[PointSummary]:
-    points = []
-    for raw in doc["points"]:
-        kwargs = {}
-        for name in _POINT_FIELDS:
-            value = raw[name]
-            if name == "axis2":
-                kwargs[name] = None if value is None else float(value)
-            elif name in ("trials_requested", "trials_effective", "n_samples",
-                          "dx", "dy"):
-                kwargs[name] = int(value)
-            elif name == "seeds_digest":
-                kwargs[name] = str(value)
-            elif name == "valid":
-                kwargs[name] = bool(value)
-            elif name == "errors":
-                kwargs[name] = tuple(value)
-            else:
-                kwargs[name] = _float_or_nan(value)
-        points.append(PointSummary(**kwargs))
-    return points
+    hints = get_type_hints(PointSummary)
+    return [
+        PointSummary(**{
+            f.name: _point_value(hints[f.name], raw[f.name],
+                                 f"points[{i}].{f.name}")
+            for f in dataclasses.fields(PointSummary)})
+        for i, raw in enumerate(doc["points"])]
 
 
 def load_results(path) -> dict:

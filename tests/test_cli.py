@@ -343,6 +343,35 @@ def test_benchmark_tracer_targets_resolve():
     assert proc.stdout.strip() == "[]"
 
 
+def test_benchmark_traced_unit_reports_every_layer_metric(tmp_path):
+    # the traced benchmark reads EstimatorKind.max_iter,
+    # EstimateResult.iterations, emit_results' positional path and the
+    # PointSummary trial counts and moments; one traced unit end to end
+    # checks that they are all still there
+    code = f"""
+import json, sys
+sys.path.insert(0, {os.path.join(REPO_ROOT, "perfbench")!r})
+import run, tracing
+pkg = run.load_program()
+workload = run.Workload("contract", "exp1_transition",
+                        {{"trials": 2, "theta_points": 2}}, threads=1,
+                        reference_seeds=1)
+tracer = tracing.Tracer()
+with tracer.installed(pkg):
+    unit = run.run_unit(pkg, workload, 0, {str(tmp_path)!r}, {{}})
+reference = {{name: [run.point_reference(p) for p in result.points]
+              for name, result, _ in unit.results}}
+values = tracing.layer_metrics(tracer.spans, 0.0)
+print(json.dumps({{"failed": run.failed_trials(pkg, unit, reference),
+                  "missing": [name for name, _, _ in tracing.LAYER_METRICS
+                              if name not in values]}}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out == {"failed": 0, "missing": []}
+
+
 def test_check_mode_prints_markers_and_exit_code(capsys):
     # an under-powered run prints one marker line per clause; exit code
     # is 0 only if every clause passed, 3 otherwise

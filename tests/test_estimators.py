@@ -68,20 +68,16 @@ def test_cross_covariance_estimated_retention():
     x = np.where(mask_x, 1.0, 0.0)
     y = np.where(mask_y, 2.0, 0.0)
     pair = _manual_pair(x, y, mask_x, mask_y, rho=0.42)
-    rho_hat = (7.0 / 8.0) * (10.0 / 12.0)
-    expected = x.T @ y / (4.0 * np.sqrt(rho_hat))
-    np.testing.assert_allclose(
-        rescaled_cross_covariance(pair, estimate_rho=True), expected)
-    # default path keeps using the configured retention
+    # the configured retention is used, not the observed mask densities
     np.testing.assert_allclose(
         rescaled_cross_covariance(pair), x.T @ y / (4.0 * np.sqrt(0.42)))
 
 
 def test_cross_covariance_rejects_zero_retention():
     mask = np.zeros((3, 2), dtype=bool)
-    pair = _manual_pair(np.zeros((3, 2)), np.zeros((3, 2)), mask, mask, rho=0.5)
+    pair = _manual_pair(np.zeros((3, 2)), np.zeros((3, 2)), mask, mask, rho=0.0)
     with pytest.raises(ValueError, match="retention"):
-        rescaled_cross_covariance(pair, estimate_rho=True)
+        rescaled_cross_covariance(pair)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for matrix file round trips and result serialization."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from maskedpls.harness import Axis, SweepSpec, run_sweep
+from maskedpls.harness import Axis, PointSummary, SweepSpec, run_sweep
 from maskedpls.matio import (
     CSV_COLUMNS,
     MATRIX_MAGIC,
@@ -181,13 +182,16 @@ def test_results_json_roundtrip_and_digest(tmp_path):
     doc = load_results(path)
     assert doc["metadata"]["preset"] == "demo"
     assert doc["digest"] == result.digest
+    names = [f.name for f in dataclasses.fields(PointSummary)]
+    assert all(sorted(raw) == sorted(names) for raw in doc["points"])
     restored = points_from_json(doc)
     assert len(restored) == len(result.points)
     for orig, back in zip(result.points, restored):
-        assert back.mean_r2x == pytest.approx(orig.mean_r2x, abs=0)
-        assert back.trials_effective == orig.trials_effective
-        assert back.seeds_digest == orig.seeds_digest
-        assert back.axis2 is None
+        for name in names:
+            a, b = getattr(orig, name), getattr(back, name)
+            assert a == b or (isinstance(a, float) and math.isnan(a)
+                              and math.isnan(b)), name
+            assert type(a) is type(b), name
 
 
 def test_results_json_null_encodes_nan():
@@ -206,6 +210,23 @@ def test_load_results_detects_tampering(tmp_path):
     doc["points"][0]["mean_r2x"] = 0.123456
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="digest mismatch"):
+        load_results(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("valid", "false"),
+    ("trials_requested", 2.9),
+    ("errors", "ab"),
+    ("axis2", "x"),
+])
+def test_load_results_rejects_wrong_typed_fields(tmp_path, field, value):
+    result = _small_sweep()
+    path = tmp_path / "out.json"
+    emit_results(result, path, fmt="json")
+    doc = json.loads(path.read_text())
+    doc["points"][1][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"points\[1\]\.{field}"):
         load_results(path)
 
 
