@@ -74,7 +74,7 @@ def _em_pls(pair: MaskedPair, kind: EstimatorKind):
     n = pair.n_samples
     x_imp = _column_mean_impute(pair.x_obs, pair.mask_x)
     y_imp = _column_mean_impute(pair.y_obs, pair.mask_y)
-    y_missing = ~pair.mask_y
+    rows, cols = np.nonzero(~pair.mask_y)
     sigma_prev = None
     triple = None
     iterations = kind.max_iter
@@ -90,22 +90,39 @@ def _em_pls(pair: MaskedPair, kind: EstimatorKind):
         # refit the response's missing entries from the rank-1 cross fit;
         # the design is not constrained by the rank-1 model, so its
         # missing entries keep their column means
-        recon = sigma * np.outer(x_imp @ triple.left, triple.right)
-        y_imp = np.where(y_missing, recon, y_imp)
+        scores = x_imp @ triple.left
+        y_imp[rows, cols] = sigma * (scores[rows] * triple.right[cols])
     return triple, iterations
+
+
+def _top_eigenvectors(gram: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal basis of the top-k eigenspace of a symmetric matrix."""
+    return np.linalg.eigh(gram)[1][:, -k:]
 
 
 def _hard_impute(obs: np.ndarray, mask: np.ndarray, rank: int, max_iter: int,
                  tol: float):
+    """Hard-impute: refill the missing entries from the rank-k truncated SVD
+    of the current completion until the refill stops moving.
+
+    The truncation U_k S_k V_kᵀ equals completed @ V_k V_kᵀ (or U_k U_kᵀ @
+    completed), so each step needs only the top-k eigenvectors of the
+    smaller Gram matrix, and the reconstruction only at the missing entries.
+    """
     completed = _column_mean_impute(obs, mask)
-    missing = ~mask
-    prev = completed[missing]
+    rows, cols = np.nonzero(~mask)
+    k = min(rank, *completed.shape)
+    tall = completed.shape[0] >= completed.shape[1]
+    prev = completed[rows, cols]
     iterations = max_iter
     for it in range(1, max_iter + 1):
-        u, s, vt = np.linalg.svd(completed, full_matrices=False)
-        recon = (u[:, :rank] * s[:rank]) @ vt[:rank]
-        completed = np.where(missing, recon, obs)
-        cur = completed[missing]
+        if tall:
+            v_k = _top_eigenvectors(completed.T @ completed, k)
+            cur = np.einsum("ik,ik->i", (completed @ v_k)[rows], v_k[cols])
+        else:
+            u_k = _top_eigenvectors(completed @ completed.T, k)
+            cur = np.einsum("ik,ik->i", u_k[rows], (completed.T @ u_k)[cols])
+        completed[rows, cols] = cur
         denom = np.linalg.norm(prev) + np.finfo(float).tiny
         if np.linalg.norm(cur - prev) <= tol * denom:
             iterations = it

@@ -89,6 +89,7 @@ class TrialResult:
     stability: float
     runtime: float
     seed: int
+    iterations: int
     error: str | None = None
 
 
@@ -115,6 +116,7 @@ class PointSummary:
     dx: int
     dy: int
     mean_runtime: float
+    mean_iterations: float
     errors: tuple[str, ...] = ()
 
 
@@ -186,12 +188,13 @@ def run_trial(config: ModelConfig, estimator: EstimatorKind,
         else:
             stability = float("nan")
         return TrialResult(r2_x=fit.r2_x, r2_y=fit.r2_y, stability=stability,
-                           runtime=time.perf_counter() - t0, seed=trial_seed)
+                           runtime=time.perf_counter() - t0, seed=trial_seed,
+                           iterations=fit.iterations)
     except Exception as err:  # noqa: BLE001 - trial isolation is the contract
         return TrialResult(r2_x=float("nan"), r2_y=float("nan"),
                            stability=float("nan"),
                            runtime=time.perf_counter() - t0, seed=trial_seed,
-                           error=f"{type(err).__name__}: {err}")
+                           iterations=0, error=f"{type(err).__name__}: {err}")
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -235,6 +238,7 @@ def _summarize_point(assignment: Mapping[str, float], spec: SweepSpec,
         theta=config.theta, rho=config.rho, n_samples=config.n_samples,
         dx=config.dx, dy=config.dy,
         mean_runtime=_mean_std([t.runtime for t in trials])[0],
+        mean_iterations=_mean_std([t.iterations for t in good])[0],
         errors=errors)
 
 

@@ -32,7 +32,7 @@ MATRIX_MAGIC = b"MXF1"
 _ENCODING_FLOAT64 = 0x01
 _HEADER = struct.Struct("<QQB")
 
-RESULT_SCHEMA_VERSION = 1
+RESULT_SCHEMA_VERSION = 2
 
 CSV_COLUMNS = ("axis1", "axis2", "mean_r2x", "std_r2x", "mean_r2y", "std_r2y",
                "mean_stability", "std_stability", "theory_r2x", "theory_r2y",
@@ -227,14 +227,22 @@ def _point_value(tp, value, context: str):
     raise ValueError(f"{context} has the wrong type: {value!r}")
 
 
-def points_from_json(doc: Mapping) -> list[PointSummary]:
+def _point_from_json(raw: Mapping, context: str) -> PointSummary:
     hints = get_type_hints(PointSummary)
-    return [
-        PointSummary(**{
-            f.name: _point_value(hints[f.name], raw[f.name],
-                                 f"points[{i}].{f.name}")
-            for f in dataclasses.fields(PointSummary)})
-        for i, raw in enumerate(doc["points"])]
+    unknown = sorted(set(raw) - set(hints))
+    if unknown:
+        raise ValueError(f"{context} has unknown fields: {', '.join(unknown)}")
+    values = {}
+    for name, tp in hints.items():
+        if name not in raw:
+            raise ValueError(f"{context}.{name} is missing")
+        values[name] = _point_value(tp, raw[name], f"{context}.{name}")
+    return PointSummary(**values)
+
+
+def points_from_json(doc: Mapping) -> list[PointSummary]:
+    return [_point_from_json(raw, f"points[{i}]")
+            for i, raw in enumerate(doc["points"])]
 
 
 def load_results(path) -> dict:

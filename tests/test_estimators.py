@@ -3,15 +3,21 @@
 import numpy as np
 import pytest
 
+from maskedpls import estimators
 from maskedpls.estimators import (
     ESTIMATOR_NAMES,
     EstimateResult,
     EstimatorKind,
+    _column_mean_impute,
+    _em_pls,
+    _hard_impute,
     estimate,
     rescaled_cross_covariance,
     split_half_stability,
     squared_overlaps,
 )
+from maskedpls.linalg import top_singular_pair
+from maskedpls.streams import substream
 from maskedpls.synth import MaskedPair, MaskSpec, ModelConfig, generate_pair
 from maskedpls.theory import asymptotic_overlaps, critical_threshold
 
@@ -225,6 +231,112 @@ def test_iterative_svd_reports_summed_iterations():
     res = estimate(generate_pair(cfg), EstimatorKind("iterative_svd",
                                                      max_iter=30))
     assert 2 <= res.iterations <= 60
+
+
+# ---------------------------------------------------------------------------
+# iterative loops against their reference implementations
+
+
+def _hard_impute_by_svd(obs, mask, rank, max_iter, tol):
+    """Reference hard-impute: a full thin SVD of the completion per step."""
+    completed = _column_mean_impute(obs, mask)
+    missing = ~mask
+    prev = completed[missing]
+    iterations = max_iter
+    for it in range(1, max_iter + 1):
+        u, s, vt = np.linalg.svd(completed, full_matrices=False)
+        recon = (u[:, :rank] * s[:rank]) @ vt[:rank]
+        completed = np.where(missing, recon, obs)
+        cur = completed[missing]
+        denom = np.linalg.norm(prev) + np.finfo(float).tiny
+        if np.linalg.norm(cur - prev) <= tol * denom:
+            iterations = it
+            break
+        prev = cur
+    return completed, iterations
+
+
+def _em_pls_by_where(pair, kind):
+    """Reference EM-PLS: refits the whole response through np.where."""
+    n = pair.n_samples
+    x_imp = _column_mean_impute(pair.x_obs, pair.mask_x)
+    y_imp = _column_mean_impute(pair.y_obs, pair.mask_y)
+    y_missing = ~pair.mask_y
+    sigma_prev = None
+    for it in range(1, kind.max_iter + 1):
+        triple = top_singular_pair(x_imp.T @ y_imp / n)
+        sigma = triple.value
+        if sigma_prev is not None and abs(sigma - sigma_prev) <= kind.tol * max(
+                sigma_prev, np.finfo(float).tiny):
+            return triple, it
+        sigma_prev = sigma
+        recon = sigma * np.outer(x_imp @ triple.left, triple.right)
+        y_imp = np.where(y_missing, recon, y_imp)
+    return triple, kind.max_iter
+
+
+def _low_rank_masked(rows, cols, strengths, seed):
+    rng = substream(seed, "hard-impute-test")
+    left = np.linalg.qr(rng.standard_normal((rows, len(strengths))))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, len(strengths))))[0]
+    full = (left * strengths) @ right.T + 0.1 * rng.standard_normal((rows, cols))
+    mask = rng.random((rows, cols)) > 0.25
+    return np.where(mask, full, 0.0), mask
+
+
+@pytest.mark.parametrize("rows,cols,strengths,rank", [
+    (120, 30, (20.0,), 1),
+    (120, 30, (25.0, 12.0), 2),
+    (30, 80, (20.0,), 1),
+])
+def test_hard_impute_matches_truncated_svd(rows, cols, strengths, rank):
+    obs, mask = _low_rank_masked(rows, cols, strengths, seed=rank + rows)
+    want, want_it = _hard_impute_by_svd(obs, mask, rank, 200, 1e-8)
+    got, got_it = _hard_impute(obs, mask, rank, 200, 1e-8)
+    assert 1 < got_it < 200
+    assert got_it == want_it
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+    np.testing.assert_array_equal(got[mask], obs[mask])
+
+
+@pytest.mark.parametrize("shape,rank", [((40, 6), 6), ((40, 6), 9), ((6, 40), 8)])
+def test_hard_impute_full_rank_is_a_no_op(shape, rank):
+    obs, mask = _low_rank_masked(*shape, (5.0,), seed=3)
+    got, got_it = _hard_impute(obs, mask, rank, 50, 1e-6)
+    want, want_it = _hard_impute_by_svd(obs, mask, rank, 50, 1e-6)
+    assert got_it == want_it == 1
+    start = _column_mean_impute(obs, mask)
+    np.testing.assert_allclose(got, start, rtol=0, atol=1e-10 * np.abs(start).max())
+
+
+def test_em_pls_matches_whole_matrix_refit():
+    cfg = ModelConfig(n_samples=300, dx=50, dy=40, theta=1.8,
+                      mask_x=MaskSpec("mcar", 0.3),
+                      mask_y=MaskSpec("mcar", 0.3), seed=5)
+    pair = generate_pair(cfg)
+    kind = EstimatorKind("em_pls")
+    got, got_it = _em_pls(pair, kind)
+    want, want_it = _em_pls_by_where(pair, kind)
+    assert got_it == want_it > 1
+    np.testing.assert_array_equal(got.left, want.left)
+    np.testing.assert_array_equal(got.right, want.right)
+    assert got.value == want.value
+
+
+def test_iterative_svd_decomposes_no_data_matrix(monkeypatch):
+    # both views wider than linalg.DENSE_FALLBACK_DIM, so the leading
+    # cross pair comes from power iteration, not a dense SVD
+    cfg = ModelConfig(n_samples=200, dx=40, dy=36, theta=1.5,
+                      mask_x=MaskSpec("mcar", 0.2),
+                      mask_y=MaskSpec("mcar", 0.2), seed=11)
+    pair = generate_pair(cfg)
+
+    def _no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(estimators.np.linalg, "svd", _no_svd)
+    res = estimate(pair, EstimatorKind("iterative_svd"))
+    assert res.iterations >= 2
 
 
 # ---------------------------------------------------------------------------

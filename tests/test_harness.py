@@ -40,7 +40,7 @@ def _point(**overrides) -> PointSummary:
                   std_stability=float("nan"), theory_r2x=0.5, theory_r2y=0.6,
                   theta_crit=0.5, trials_requested=10, trials_effective=10,
                   seeds_digest="0" * 16, valid=True, theta=1.0, rho=1.0,
-                  n_samples=240, dx=40, dy=24, mean_runtime=0.01, errors=())
+                  n_samples=240, dx=40, dy=24, mean_runtime=0.01, mean_iterations=1.0, errors=())
     fields.update(overrides)
     return PointSummary(**fields)
 
@@ -201,6 +201,31 @@ def test_stability_only_computed_when_requested():
                           diagnostics=Diagnostics(split_half=True))
     p_diag = run_sweep(spec_diag).points[0]
     assert 0.0 <= p_diag.mean_stability <= 1.0
+
+
+def test_mean_iterations_averages_successful_trials():
+    calls = {"n": 0}
+
+    def flaky_factory(config):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise RuntimeError("synthetic failure")
+        from maskedpls.synth import generate_pair
+        return generate_pair(config)
+
+    base = _base()
+    kind = EstimatorKind("em_pls")
+    spec = SweepSpec(base=base, axis=Axis("theta", (1.5,)), trials=3,
+                     estimator=kind)
+    p = run_sweep(spec, pair_factory=flaky_factory).points[0]
+    cfg = dataclasses.replace(base, seed=derive_seed(base.seed, "point", 0))
+    direct = [run_trial(cfg, kind, Diagnostics(), t).iterations for t in (0, 2)]
+    assert min(direct) > 1
+    assert p.trials_effective == 2
+    assert p.mean_iterations == np.mean(direct)
+    # telemetry stays outside the digest
+    assert result_digest([p]) == result_digest(
+        [dataclasses.replace(p, mean_iterations=0.0)])
 
 
 def test_failing_trials_are_tagged_not_raised():

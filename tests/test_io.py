@@ -230,15 +230,51 @@ def test_load_results_rejects_wrong_typed_fields(tmp_path, field, value):
         load_results(path)
 
 
+def test_load_results_rejects_a_missing_field(tmp_path):
+    result = _small_sweep()
+    path = tmp_path / "out.json"
+    emit_results(result, path, fmt="json")
+    doc = json.loads(path.read_text())
+    del doc["points"][1]["mean_runtime"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"points\[1\]\.mean_runtime"):
+        load_results(path)
+
+
+def test_load_results_rejects_an_unknown_field(tmp_path):
+    result = _small_sweep()
+    path = tmp_path / "out.json"
+    emit_results(result, path, fmt="json")
+    doc = json.loads(path.read_text())
+    doc["points"][1]["bogus"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"points\[1\] has unknown fields: bogus"):
+        load_results(path)
+
+
+def test_results_json_carries_iterations_outside_the_digest(tmp_path):
+    result = _small_sweep()
+    doc = json.loads(results_to_json(result))
+    # pls_svd_zero is one step per trial
+    assert all(raw["mean_iterations"] == 1.0 for raw in doc["points"])
+    assert "mean_iterations" not in CSV_COLUMNS
+    doc["points"][0]["mean_iterations"] = 7.0
+    path = tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert load_results(path)["digest"] == result.digest
+
+
 def test_load_results_rejects_unknown_schema(tmp_path):
     result = _small_sweep()
     path = tmp_path / "out.json"
     emit_results(result, path, fmt="json")
     doc = json.loads(path.read_text())
-    doc["schema_version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="schema version"):
-        load_results(path)
+    # version 1 files predate mean_iterations
+    for version in (1, 99):
+        doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="schema version"):
+            load_results(path)
 
 
 def test_emit_results_rejects_unknown_format(tmp_path):

@@ -31,7 +31,7 @@ def _point(**overrides) -> PointSummary:
                   std_stability=float("nan"), theory_r2x=0.5, theory_r2y=0.6,
                   theta_crit=0.5, trials_requested=25, trials_effective=25,
                   seeds_digest="0" * 16, valid=True, theta=1.0, rho=1.0,
-                  n_samples=1000, dx=200, dy=150, mean_runtime=0.01,
+                  n_samples=1000, dx=200, dy=150, mean_runtime=0.01, mean_iterations=1.0,
                   errors=())
     fields.update(overrides)
     return PointSummary(**fields)
