@@ -15,15 +15,13 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
-import ctypes
-import glob
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .harness import run_sweep
 from .matio import MatrixFormatError, emit_results, ingest_matrix
 from .presets import ConfigError, ResolvedConfig, evaluate_check, parse_config, preset_config
@@ -123,35 +121,13 @@ def _resolve_run_config(args) -> ResolvedConfig:
     return preset_config(args.preset, args.scale, overrides)
 
 
-def _openblas_call(symbol: str, restype):
-    """Call a no-argument function of numpy's bundled OpenBLAS, or return
-    None when numpy ships no such library or function."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "libscipy_openblas*"))
-    if not libs:
-        return None
-    try:
-        fn = getattr(ctypes.CDLL(libs[0]), symbol)
-    except (OSError, AttributeError):
-        return None
-    fn.argtypes = []
-    fn.restype = restype
-    return fn()
-
-
 def _numeric_environment() -> dict:
-    """The numpy build and BLAS threading that result digests depend on.
+    """The numpy build and BLAS library that result digests depend on.
 
-    The BLAS thread count is read, never set.  These fields go into the
-    result metadata only, never into the digest.
+    These fields go into the result metadata only, never into the
+    digest, next to the BLAS thread count each sweep ran at.
     """
-    config = _openblas_call("scipy_openblas_get_config64_", ctypes.c_char_p)
-    return {
-        "numpy": np.__version__,
-        "blas_config": None if config is None else config.decode(),
-        "blas_threads": _openblas_call("scipy_openblas_get_num_threads64_",
-                                       ctypes.c_int),
-    }
+    return {"numpy": np.__version__, "blas_config": blas.config()}
 
 
 def _variant_path(out: str, name: str, multi: bool) -> str:
@@ -187,6 +163,7 @@ def _cmd_run(args) -> int:
                 "seed": item.spec.base.seed,
                 "version": __version__,
                 **environment,
+                "blas_threads": result.blas_threads,
             }
             emit_results(result, path, fmt=args.format, metadata=metadata)
             print(f"wrote {path}")

@@ -3,11 +3,15 @@
 A sweep varies one or two axes of the generative model, runs repeated
 trials at every grid point with seeds derived deterministically from the
 base seed, and aggregates recovery quality against the asymptotic
-predictions.  Results are reproducible bit-for-bit regardless of the
-harness thread count, because every trial's seed depends only on its
-(point, trial) coordinates.  That holds at a fixed numpy/OpenBLAS build
-and BLAS thread count: BLAS kernels may round differently under another
-thread count or build.
+predictions.  Every trial's seed depends only on its (point, trial)
+coordinates, so the trials draw the same inputs at any harness thread
+count.  Their arithmetic is fixed by the numpy/OpenBLAS build and the
+BLAS thread count, because BLAS kernels may round differently under
+another count.  ``run_sweep`` runs OpenBLAS at ``max(1, n // threads)``
+threads, n being its count when the sweep starts, so a sweep on k
+harness threads gives the results of a one-thread sweep run at
+``OPENBLAS_NUM_THREADS=max(1, n // k)``.  With OpenBLAS on one thread,
+results are identical bit for bit for every harness thread count.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import blas
 from .estimators import EstimatorKind, estimate, split_half_stability
 from .streams import derive_seed
 from .synth import MaskedPair, ModelConfig, generate_pair
@@ -128,6 +133,7 @@ class SweepResult:
     correlation_supercritical: float
     total_runtime: float
     digest: str
+    blas_threads: int | None
 
 
 def _resolved_config(base: ModelConfig, assignments: Mapping[str, float],
@@ -290,6 +296,17 @@ def result_digest(points: Sequence[PointSummary]) -> str:
 
 def run_sweep(spec: SweepSpec, threads: int = 1,
               pair_factory: PairFactory | None = None) -> SweepResult:
+    """Run every trial of ``spec`` on ``threads`` worker threads and
+    aggregate them into points.
+
+    The workers share OpenBLAS's threads: for the whole sweep OpenBLAS
+    runs ``max(1, n // threads)`` threads, where n is its count when the
+    sweep starts, and n is restored when the sweep returns or raises.
+    ``SweepResult.blas_threads`` records the count the sweep ran at, None
+    when numpy bundles no OpenBLAS.  The count is process-wide, so
+    concurrent ``run_sweep`` calls from several Python threads are not
+    supported.
+    """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     t_start = time.perf_counter()
@@ -305,24 +322,31 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
         return run_trial(configs[i], spec.estimator, spec.diagnostics, t,
                          pair_factory=pair_factory)
 
-    # pool.map keeps job order, so each point's trials are one contiguous slice
-    if threads == 1:
-        trials = [_job(key) for key in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trials = list(pool.map(_job, jobs))
-
-    points = tuple(
-        _summarize_point(assignments[i], spec, configs[i],
-                         trials[i * spec.trials:(i + 1) * spec.trials])
-        for i in range(len(configs)))
+    ambient = blas.num_threads()
+    budget = None if ambient is None else max(1, ambient // threads)
+    try:
+        if budget is not None:
+            blas.set_num_threads(budget)
+        # pool.map keeps job order, so each point's trials are one contiguous slice
+        if threads == 1:
+            trials = [_job(key) for key in jobs]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                trials = list(pool.map(_job, jobs))
+        points = tuple(
+            _summarize_point(assignments[i], spec, configs[i],
+                             trials[i * spec.trials:(i + 1) * spec.trials])
+            for i in range(len(configs)))
+    finally:
+        if ambient is not None:
+            blas.set_num_threads(ambient)
     supercritical = [p for p in points if p.theta > p.theta_crit]
     return SweepResult(
         spec=spec, points=points,
         correlation=_safe_correlation(points),
         correlation_supercritical=_safe_correlation(supercritical),
         total_runtime=time.perf_counter() - t_start,
-        digest=result_digest(points))
+        digest=result_digest(points), blas_threads=budget)
 
 
 def _sorted_theta_points(points: Sequence[PointSummary]) -> list[PointSummary]:

@@ -228,6 +228,8 @@ def _point_value(tp, value, context: str):
 
 
 def _point_from_json(raw: Mapping, context: str) -> PointSummary:
+    if type(raw) is not dict:
+        raise ValueError(f"{context} is not an object: {raw!r}")
     hints = get_type_hints(PointSummary)
     unknown = sorted(set(raw) - set(hints))
     if unknown:
@@ -241,17 +243,27 @@ def _point_from_json(raw: Mapping, context: str) -> PointSummary:
 
 
 def points_from_json(doc: Mapping) -> list[PointSummary]:
+    points = doc.get("points")
+    if type(points) is not list:
+        raise ValueError(f"result document needs a 'points' list, got {points!r}")
     return [_point_from_json(raw, f"points[{i}]")
-            for i, raw in enumerate(doc["points"])]
+            for i, raw in enumerate(points)]
 
 
 def load_results(path) -> dict:
-    """Parse an emitted JSON result document and verify its content digest."""
+    """Parse an emitted JSON result document and verify its content digest.
+
+    A document of the wrong structure or content raises ``ValueError``.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if type(doc) is not dict:
+        raise ValueError(f"result document is not a JSON object: {type(doc).__name__}")
     if doc.get("schema_version") != RESULT_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema version {doc.get('schema_version')!r}")
+    if "digest" not in doc:
+        raise ValueError("result document has no 'digest'")
     recomputed = result_digest(points_from_json(doc))
     if recomputed != doc["digest"]:
         raise ValueError("result digest mismatch: file content was altered")

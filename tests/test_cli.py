@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from maskedpls import cli
+from maskedpls import blas, cli
 from maskedpls.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from maskedpls.matio import load_results, write_matrix
 from maskedpls.presets import preset_config
@@ -154,13 +154,28 @@ def test_run_metadata_records_numeric_environment_outside_digest(
     assert meta["blas_threads"] is None or meta["blas_threads"] >= 1
 
     monkeypatch.setattr(cli, "_numeric_environment", lambda: {
-        "numpy": "0.0", "blas_config": "other BLAS", "blas_threads": 99})
+        "numpy": "0.0", "blas_config": "other BLAS"})
     second = tmp_path / "second.json"
     assert main(["run", "--config", str(cfg), "--out", str(second),
                  "--format", "json"]) == EXIT_OK
     doc_1, doc_2 = load_results(first), load_results(second)
-    assert doc_2["metadata"]["blas_threads"] == 99
+    assert doc_2["metadata"]["blas_config"] == "other BLAS"
     assert doc_1["digest"] == doc_2["digest"]
+
+
+@pytest.mark.skipif(blas.num_threads() is None,
+                    reason="numpy bundles no OpenBLAS")
+def test_run_metadata_records_the_blas_threads_the_sweep_ran_at(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(SMALL_SWEEP))
+    n = blas.num_threads()
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--format", "json", "--threads", str(threads)]) == EXIT_OK
+        meta = load_results(out)["metadata"]
+        assert meta["blas_threads"] == max(1, n // threads)
+    assert blas.num_threads() == n
 
 
 def test_run_preset_with_overrides_json_output(tmp_path, capsys):

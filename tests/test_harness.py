@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from maskedpls import blas, harness
 from maskedpls.estimators import EstimatorKind
 from maskedpls.harness import (
     Axis,
@@ -22,7 +23,7 @@ from maskedpls.harness import (
 )
 from maskedpls.presets import ConfigError, preset_config
 from maskedpls.streams import derive_seed
-from maskedpls.synth import MaskSpec, ModelConfig
+from maskedpls.synth import MaskSpec, ModelConfig, generate_pair
 from maskedpls.theory import critical_threshold
 
 
@@ -191,6 +192,55 @@ def test_serial_and_threaded_sweeps_agree():
     for a, b in zip(serial.points, threaded.points):
         assert a.mean_r2x == b.mean_r2x
         assert a.mean_stability == b.mean_stability
+
+
+@pytest.fixture
+def blas_count():
+    """OpenBLAS's thread count, set to 4 for the test, so that a two-thread
+    sweep's share, 2, differs from both 1 and the count itself."""
+    before = blas.num_threads()
+    if before is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    blas.set_num_threads(4)
+    yield 4
+    blas.set_num_threads(before)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_runs_on_its_share_of_blas_threads(blas_count, threads):
+    seen = []
+
+    def recording_factory(config):
+        seen.append(blas.num_threads())
+        return generate_pair(config)
+
+    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
+    result = run_sweep(spec, threads=threads, pair_factory=recording_factory)
+    share = max(1, blas_count // threads)
+    assert seen == [share] * 6
+    assert result.blas_threads == share
+    assert blas.num_threads() == blas_count
+
+
+def test_sweep_restores_blas_threads_when_it_raises(blas_count, monkeypatch):
+    def failing_summary(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    # run_trial tags a trial's exception instead of raising it
+    monkeypatch.setattr(harness, "_summarize_point", failing_summary)
+    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.5,)), trials=2)
+    with pytest.raises(RuntimeError, match="synthetic failure"):
+        run_sweep(spec, threads=2)
+    assert blas.num_threads() == blas_count
+
+
+def test_sweep_without_openblas_runs_unchanged(monkeypatch):
+    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
+    with_blas = run_sweep(spec, threads=2)
+    monkeypatch.setattr(blas, "_library", lambda: None)
+    without = run_sweep(spec, threads=2)
+    assert without.blas_threads is None
+    assert without.digest == with_blas.digest
 
 
 def test_stability_only_computed_when_requested():

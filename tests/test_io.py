@@ -252,6 +252,25 @@ def test_load_results_rejects_an_unknown_field(tmp_path):
         load_results(path)
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: dict(doc, points=[1]), r"points\[0\] is not an object"),
+    (lambda doc: _without(doc, "points"), "needs a 'points' list"),
+    (lambda doc: _without(doc, "digest"), "has no 'digest'"),
+    (lambda doc: [doc], "not a JSON object"),
+], ids=["point-not-object", "no-points", "no-digest", "top-level-list"])
+def test_load_results_rejects_a_malformed_document(tmp_path, edit, message):
+    result = _small_sweep()
+    path = tmp_path / "out.json"
+    emit_results(result, path, fmt="json")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message):
+        load_results(path)
+
+
 def test_results_json_carries_iterations_outside_the_digest(tmp_path):
     result = _small_sweep()
     doc = json.loads(results_to_json(result))

@@ -43,7 +43,7 @@ def _fake_result(points, correlation=float("nan")) -> SweepResult:
     return SweepResult(spec=spec, points=tuple(points),
                        correlation=correlation,
                        correlation_supercritical=float("nan"),
-                       total_runtime=0.0, digest="")
+                       total_runtime=0.0, digest="", blas_threads=None)
 
 
 # ---------------------------------------------------------------------------
