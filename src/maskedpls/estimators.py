@@ -24,7 +24,6 @@ class EstimatorKind:
     """Which estimator to run, with loop controls for the iterative ones."""
 
     name: str = "pls_svd_zero"
-    rank: int = 1            # iterative_svd completion rank
     max_iter: int = 50
     tol: float = 1e-6
 
@@ -32,8 +31,6 @@ class EstimatorKind:
         if self.name not in ESTIMATOR_NAMES:
             raise ValueError(
                 f"unknown estimator {self.name!r}, expected one of {ESTIMATOR_NAMES}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be at least 1, got {self.rank}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not self.tol > 0:
@@ -49,12 +46,14 @@ class EstimateResult:
     iterations: int
 
 
-def rescaled_cross_covariance(pair: MaskedPair) -> np.ndarray:
+def rescaled_cross_covariance(x_obs: np.ndarray, y_obs: np.ndarray,
+                              rho: float) -> np.ndarray:
     """x_obs.T @ y_obs / (N * sqrt(rho)), the masking-corrected
-    cross-covariance, with rho the pair's joint retention probability."""
-    if not pair.rho > 0:
-        raise ValueError(f"joint retention must be positive, got {pair.rho}")
-    return pair.x_obs.T @ pair.y_obs / (pair.n_samples * np.sqrt(pair.rho))
+    cross-covariance of N observed rows, with rho the joint retention
+    probability."""
+    if not rho > 0:
+        raise ValueError(f"joint retention must be positive, got {rho}")
+    return x_obs.T @ y_obs / (x_obs.shape[0] * np.sqrt(rho))
 
 
 def squared_overlaps(u_hat, v_hat, u0, v0) -> tuple[float, float]:
@@ -95,33 +94,27 @@ def _em_pls(pair: MaskedPair, kind: EstimatorKind):
     return triple, iterations
 
 
-def _top_eigenvectors(gram: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal basis of the top-k eigenspace of a symmetric matrix."""
-    return np.linalg.eigh(gram)[1][:, -k:]
-
-
-def _hard_impute(obs: np.ndarray, mask: np.ndarray, rank: int, max_iter: int,
-                 tol: float):
-    """Hard-impute: refill the missing entries from the rank-k truncated SVD
+def _hard_impute(obs: np.ndarray, mask: np.ndarray, max_iter: int, tol: float):
+    """Hard-impute: refill the missing entries from the rank-1 truncated SVD
     of the current completion until the refill stops moving.
 
-    The truncation U_k S_k V_kᵀ equals completed @ V_k V_kᵀ (or U_k U_kᵀ @
-    completed), so each step needs only the top-k eigenvectors of the
-    smaller Gram matrix, and the reconstruction only at the missing entries.
+    The truncation u s vᵀ equals completed @ v vᵀ (or u uᵀ @ completed), so
+    each step needs only the top eigenvector of the smaller Gram matrix,
+    and the reconstruction only at the missing entries.
     """
     completed = _column_mean_impute(obs, mask)
     rows, cols = np.nonzero(~mask)
-    k = min(rank, *completed.shape)
     tall = completed.shape[0] >= completed.shape[1]
     prev = completed[rows, cols]
     iterations = max_iter
     for it in range(1, max_iter + 1):
         if tall:
-            v_k = _top_eigenvectors(completed.T @ completed, k)
-            cur = np.einsum("ik,ik->i", (completed @ v_k)[rows], v_k[cols])
+            # the top eigenvector as a one-column block for the einsums
+            v = np.linalg.eigh(completed.T @ completed)[1][:, -1:]
+            cur = np.einsum("ik,ik->i", (completed @ v)[rows], v[cols])
         else:
-            u_k = _top_eigenvectors(completed @ completed.T, k)
-            cur = np.einsum("ik,ik->i", u_k[rows], (completed.T @ u_k)[cols])
+            u = np.linalg.eigh(completed @ completed.T)[1][:, -1:]
+            cur = np.einsum("ik,ik->i", u[rows], (completed.T @ u)[cols])
         completed[rows, cols] = cur
         denom = np.linalg.norm(prev) + np.finfo(float).tiny
         if np.linalg.norm(cur - prev) <= tol * denom:
@@ -143,7 +136,8 @@ def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
     n = pair.n_samples
     iterations = 1
     if kind.name == "pls_svd_zero":
-        triple = top_singular_pair(rescaled_cross_covariance(pair))
+        triple = top_singular_pair(
+            rescaled_cross_covariance(pair.x_obs, pair.y_obs, pair.rho))
     elif kind.name == "mean_impute":
         x_imp = _column_mean_impute(pair.x_obs, pair.mask_x)
         y_imp = _column_mean_impute(pair.y_obs, pair.mask_y)
@@ -151,10 +145,8 @@ def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
     elif kind.name == "em_pls":
         triple, iterations = _em_pls(pair, kind)
     elif kind.name == "iterative_svd":
-        x_comp, it_x = _hard_impute(pair.x_obs, pair.mask_x, kind.rank,
-                                    kind.max_iter, kind.tol)
-        y_comp, it_y = _hard_impute(pair.y_obs, pair.mask_y, kind.rank,
-                                    kind.max_iter, kind.tol)
+        x_comp, it_x = _hard_impute(pair.x_obs, pair.mask_x, kind.max_iter, kind.tol)
+        y_comp, it_y = _hard_impute(pair.y_obs, pair.mask_y, kind.max_iter, kind.tol)
         triple = top_singular_pair(x_comp.T @ y_comp / n)
         iterations = it_x + it_y
     else:  # oracle
@@ -177,16 +169,10 @@ def split_half_stability(pair: MaskedPair, seed: int) -> float:
     n = pair.n_samples
     if n < 4:
         raise ValueError(f"split-half needs at least 4 samples, got {n}")
-    if not pair.rho > 0:
-        raise ValueError(f"joint retention must be positive, got {pair.rho}")
     perm = substream(seed, "split").permutation(n)
-    halves = (perm[: n // 2], perm[n // 2:])
-    pairs = []
-    for idx in halves:
-        c = pair.x_obs[idx].T @ pair.y_obs[idx] / (len(idx) * np.sqrt(pair.rho))
-        if not c.any():
-            raise ValueError("degenerate half: empty cross-covariance")
-        pairs.append(top_singular_pair(c))
+    pairs = [top_singular_pair(rescaled_cross_covariance(
+                 pair.x_obs[idx], pair.y_obs[idx], pair.rho))
+             for idx in (perm[: n // 2], perm[n // 2:])]
     s_u = abs(vector_correlation(pairs[0].left, pairs[1].left))
     s_v = abs(vector_correlation(pairs[0].right, pairs[1].right))
     return 0.5 * (s_u + s_v)

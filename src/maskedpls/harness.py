@@ -60,20 +60,13 @@ class Axis:
 
 
 @dataclass(frozen=True)
-class Diagnostics:
-    """Optional per-trial diagnostics computed alongside the estimate."""
-
-    split_half: bool = False
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     base: ModelConfig
     axis: Axis
     axis2: Axis | None = None
     trials: int = 30
     estimator: EstimatorKind = field(default_factory=EstimatorKind)
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
+    split_half: bool = False  # also compute each trial's split-half stability
 
     def __post_init__(self):
         if self.trials < 1:
@@ -179,7 +172,7 @@ def grid_assignments(spec: SweepSpec) -> list[dict[str, float]]:
 
 
 def run_trial(config: ModelConfig, estimator: EstimatorKind,
-              diagnostics: Diagnostics, trial_index: int,
+              split_half: bool, trial_index: int,
               pair_factory: PairFactory | None = None) -> TrialResult:
     """One independent draw and fit.  Failures are tagged, not raised."""
     trial_seed = derive_seed(config.seed, "trial", trial_index)
@@ -189,7 +182,7 @@ def run_trial(config: ModelConfig, estimator: EstimatorKind,
         factory = pair_factory if pair_factory is not None else generate_pair
         pair = factory(trial_config)
         fit = estimate(pair, estimator)
-        if diagnostics.split_half:
+        if split_half:
             stability = split_half_stability(pair, trial_seed)
         else:
             stability = float("nan")
@@ -319,7 +312,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
 
     def _job(key):
         i, t = key
-        return run_trial(configs[i], spec.estimator, spec.diagnostics, t,
+        return run_trial(configs[i], spec.estimator, spec.split_half, t,
                          pair_factory=pair_factory)
 
     ambient = blas.num_threads()

@@ -36,8 +36,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .estimators import ESTIMATOR_NAMES, EstimatorKind
-from .harness import (Axis, Diagnostics, PairFactory, PointSummary, SweepResult,
-                      SweepSpec, empirical_boundary, transition_width)
+from .harness import (Axis, PairFactory, PointSummary, SweepResult, SweepSpec,
+                      empirical_boundary, transition_width)
 from .matio import ingest_matrix
 from .streams import derive_seed, substream
 from .synth import (MASK_MECHANISMS, MaskSpec, ModelConfig, NoiseSpec,
@@ -101,10 +101,7 @@ class _Overrides:
 
     def take_int(self, key: str, default: int, minimum: int = 1) -> int:
         raw = self._data.pop(key, default)
-        try:
-            value = _integer(int(raw) if isinstance(raw, str) else raw)
-        except ValueError:
-            value = None
+        value = _integer(raw)
         if value is None:
             raise ConfigError(f"override {key!r} must be an integer, got {raw!r}")
         if value < minimum:
@@ -249,8 +246,7 @@ def _exp6(scale: str, ov: _Overrides) -> list[RunItem]:
                        mask_x=_mcar(0.1), mask_y=_mcar(0.1), seed=seed)
     spec = SweepSpec(base=base,
                      axis=Axis("theta_over_crit", _linspace(0.5, 2.5, points)),
-                     trials=trials,
-                     diagnostics=Diagnostics(split_half=True))
+                     trials=trials, split_half=True)
     return [RunItem("split_half", spec)]
 
 

@@ -28,6 +28,9 @@ _THRESHOLD_QUANTILE = 0.7
 # the rounding noise of the mean moves the steps by several ulps
 _INTERCEPT_MAX_STEPS = 100
 _NEWTON_STEP_TOL = 1e-8
+# heteroskedastic noise: per-column variances drawn uniformly from this
+# range, which averages to 1 (unit variance in expectation)
+_HETEROSKEDASTIC_VARIANCES = (0.5, 1.5)
 
 
 @dataclass(frozen=True)
@@ -36,21 +39,12 @@ class NoiseSpec:
 
     kind: str = "gaussian"
     df: float = 5.0          # student_t only; must exceed 2
-    low: float = 0.5         # heteroskedastic per-column variance range
-    high: float = 1.5
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
         if self.kind == "student_t" and not self.df > 2:
             raise ValueError(f"student_t needs df > 2 for finite variance, got {self.df}")
-        if self.kind == "heteroskedastic":
-            if not 0 < self.low <= self.high:
-                raise ValueError(f"need 0 < low <= high, got [{self.low}, {self.high}]")
-            if abs((self.low + self.high) / 2 - 1.0) > 1e-9:
-                raise ValueError(
-                    "heteroskedastic variance range must average to 1 "
-                    f"(unit variance in expectation), got [{self.low}, {self.high}]")
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ def sample_noise(spec: NoiseSpec, rows: int, cols: int, seed: int) -> np.ndarray
     if spec.kind == "laplace":
         return rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=(rows, cols))
     # heteroskedastic: one variance per column, Gaussian within column
-    variances = rng.uniform(spec.low, spec.high, size=cols)
+    variances = rng.uniform(*_HETEROSKEDASTIC_VARIANCES, size=cols)
     return rng.standard_normal((rows, cols)) * np.sqrt(variances)
 
 

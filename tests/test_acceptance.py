@@ -19,7 +19,7 @@ import numpy as np
 
 from maskedpls import __version__, theory
 from maskedpls.estimators import rescaled_cross_covariance, squared_overlaps
-from maskedpls.harness import Axis, Diagnostics, SweepSpec, run_sweep
+from maskedpls.harness import Axis, SweepSpec, run_sweep
 from maskedpls.linalg import top_singular_pair, whiten
 from maskedpls.matio import emit_results, ingest_matrix, load_results, write_matrix
 from maskedpls.presets import evaluate_check, preset_config
@@ -177,7 +177,7 @@ def test_criterion_08_cross_covariance_mean_alignment():
     values = []
     for seed in range(100):
         pair = generate_pair(dataclasses.replace(config, seed=seed))
-        c = rescaled_cross_covariance(pair)
+        c = rescaled_cross_covariance(pair.x_obs, pair.y_obs, pair.rho)
         values.append(float(pair.u0 @ c @ pair.v0))
     elapsed = time.perf_counter() - start
     mean = float(np.mean(values))
@@ -274,7 +274,7 @@ def _property_parallel_digest() -> bool:
                          noise=NoiseSpec("gaussian"), seed=5),
         axis=Axis("theta", (0.6, 1.2, 1.8)),
         trials=4,
-        diagnostics=Diagnostics(split_half=True))
+        split_half=True)
     serial = run_sweep(spec, threads=1)
     threaded = run_sweep(spec, threads=3)
     return serial.digest == threaded.digest

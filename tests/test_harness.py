@@ -10,7 +10,6 @@ from maskedpls import blas, harness
 from maskedpls.estimators import EstimatorKind
 from maskedpls.harness import (
     Axis,
-    Diagnostics,
     PointSummary,
     SweepSpec,
     correlation_with_theory,
@@ -153,7 +152,7 @@ def test_single_trial_sweep_matches_run_trial():
     result = run_sweep(spec)
     point_seed = derive_seed(base.seed, "point", 0)
     direct = run_trial(dataclasses.replace(base, seed=point_seed),
-                       EstimatorKind(), Diagnostics(), 0)
+                       EstimatorKind(), False, 0)
     p = result.points[0]
     assert p.mean_r2x == direct.r2_x
     assert p.mean_r2y == direct.r2_y
@@ -169,7 +168,7 @@ def test_aggregation_matches_reference_loop():
         point_seed = derive_seed(base.seed, "point", i)
         cfg = dataclasses.replace(base, theta=spec.axis.values[i],
                                   seed=point_seed)
-        vals = [run_trial(cfg, EstimatorKind(), Diagnostics(), t).r2_x
+        vals = [run_trial(cfg, EstimatorKind(), False, t).r2_x
                 for t in range(5)]
         assert p.mean_r2x == pytest.approx(np.mean(vals), abs=1e-12)
         assert p.std_r2x == pytest.approx(np.std(vals, ddof=1), abs=1e-12)
@@ -185,7 +184,7 @@ def test_trial_seeds_unique_across_grid():
 
 def test_serial_and_threaded_sweeps_agree():
     spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=4,
-                     diagnostics=Diagnostics(split_half=True))
+                     split_half=True)
     serial = run_sweep(spec, threads=1)
     threaded = run_sweep(spec, threads=4)
     assert serial.digest == threaded.digest
@@ -248,7 +247,7 @@ def test_stability_only_computed_when_requested():
     p = run_sweep(spec).points[0]
     assert math.isnan(p.mean_stability)
     spec_diag = SweepSpec(base=_base(), axis=Axis("theta", (1.5,)), trials=2,
-                          diagnostics=Diagnostics(split_half=True))
+                          split_half=True)
     p_diag = run_sweep(spec_diag).points[0]
     assert 0.0 <= p_diag.mean_stability <= 1.0
 
@@ -269,7 +268,7 @@ def test_mean_iterations_averages_successful_trials():
                      estimator=kind)
     p = run_sweep(spec, pair_factory=flaky_factory).points[0]
     cfg = dataclasses.replace(base, seed=derive_seed(base.seed, "point", 0))
-    direct = [run_trial(cfg, kind, Diagnostics(), t).iterations for t in (0, 2)]
+    direct = [run_trial(cfg, kind, False, t).iterations for t in (0, 2)]
     assert min(direct) > 1
     assert p.trials_effective == 2
     assert p.mean_iterations == np.mean(direct)
@@ -313,7 +312,7 @@ def test_point_with_mostly_failed_trials_marked_invalid():
 
 def test_run_trial_reports_seed_derivation():
     base = _base()
-    trial = run_trial(base, EstimatorKind(), Diagnostics(), 7)
+    trial = run_trial(base, EstimatorKind(), False, 7)
     assert trial.seed == derive_seed(base.seed, "trial", 7)
     assert trial.error is None
 

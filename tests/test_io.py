@@ -27,15 +27,12 @@ from maskedpls.synth import MaskSpec, ModelConfig
 
 
 def _small_sweep(trials=3, split_half=False, two_axes=False):
-    from maskedpls.harness import Diagnostics
-
     base = ModelConfig(n_samples=120, dx=20, dy=12, theta=1.5,
                        mask_x=MaskSpec("mcar", 0.2),
                        mask_y=MaskSpec("mcar", 0.2), seed=0)
     axis2 = Axis("m_joint", (0.1, 0.3)) if two_axes else None
     spec = SweepSpec(base=base, axis=Axis("theta", (0.5, 1.2, 2.0)),
-                     axis2=axis2, trials=trials,
-                     diagnostics=Diagnostics(split_half=split_half))
+                     axis2=axis2, trials=trials, split_half=split_half)
     return run_sweep(spec)
 
 

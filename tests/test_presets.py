@@ -104,7 +104,7 @@ def test_exp4_variants_single_and_joint():
 
 def test_exp6_requests_split_half():
     spec = preset_config("exp6_split_half", "desk").items[0].spec
-    assert spec.diagnostics.split_half
+    assert spec.split_half
     assert spec.base.n_samples == 2000
 
 
@@ -226,7 +226,7 @@ def test_parse_config_sweep_form():
         "axis": {"name": "theta", "values": [0.5, 1.5]},
         "trials": 4,
         "estimator": {"name": "em_pls", "max_iter": 25},
-        "diagnostics": {"split_half": True},
+        "split_half": True,
     }}
     resolved = parse_config(json.dumps(doc), seed=17)
     spec = resolved.items[0].spec
@@ -234,7 +234,7 @@ def test_parse_config_sweep_form():
     assert spec.trials == 4
     assert spec.estimator.name == "em_pls"
     assert spec.estimator.max_iter == 25
-    assert spec.diagnostics.split_half
+    assert spec.split_half
 
 
 def test_parse_config_sweep_rejects_unknown_and_overrides():
@@ -283,7 +283,8 @@ def _sweep_with(path: tuple, value=None, delete: bool = False) -> str:
     (("base",), [], r"sweep\.base must be an object"),
     (("estimator",), ["em_pls"], r"sweep\.estimator must be an object"),
     (("base", "mask_x"), None, r"sweep\.base\.mask_x must be an object"),
-    (("diagnostics",), "on", r"sweep\.diagnostics must be an object"),
+    # keys removed from the schema are unknown, so old documents stop loading
+    (("diagnostics",), {"split_half": True}, r"unknown keys in sweep:.*diagnostics"),
     # integer fields take integral numbers only, never booleans
     (("trials",), 2.9, r"sweep\.trials must be an integer, got 2\.9"),
     (("trials",), True, r"sweep\.trials must be an integer, got True"),
@@ -295,7 +296,7 @@ def _sweep_with(path: tuple, value=None, delete: bool = False) -> str:
     (("axis", "values"), 1.0, r"sweep\.axis\.values must be a list"),
     (("axis", "values"), [1.0, False], r"sweep\.axis\.values\[1\] must be a number"),
     (("axis", "name"), 3, r"sweep\.axis\.name must be a string"),
-    (("diagnostics",), {"split_half": 1}, r"split_half must be true or false"),
+    (("split_half",), 1, r"sweep\.split_half must be true or false"),
     (("axis2",), [], r"sweep\.axis2 must be an object"),
     # unknown keys at a nested level
     (("base", "noise"), {"kind": "gaussian", "scale": 2},
@@ -303,6 +304,11 @@ def _sweep_with(path: tuple, value=None, delete: bool = False) -> str:
     # dataclass validation surfaces as a configuration error
     (("estimator",), {"name": "ridge"}, r"sweep\.estimator: unknown estimator"),
     (("base", "mask_y"), {"target_rate": 1.5}, r"target_rate must be in"),
+    # removed keys are unknown at nested levels too
+    (("estimator",), {"name": "iterative_svd", "rank": 2},
+     r"unknown keys in sweep\.estimator:.*rank"),
+    (("base", "noise"), {"kind": "heteroskedastic", "low": 0.5},
+     r"unknown keys in sweep\.base\.noise:.*low"),
 ])
 def test_sweep_decoder_rejects(path, value, message):
     with pytest.raises(ConfigError, match=message):
@@ -339,7 +345,7 @@ def test_every_preset_spec_round_trips_through_the_sweep_form():
                 assert again.echo == {"sweep": resolved.echo["resolved"][item.name]}
 
 
-@pytest.mark.parametrize("value", [2.9, True, 100.7, "2.5", None, [3]])
+@pytest.mark.parametrize("value", [2.9, True, 100.7, "2.5", None, [3], "7"])
 def test_integer_overrides_reject_non_integers(value):
     with pytest.raises(ConfigError, match="override 'trials' must be an integer"):
         preset_config("exp1_transition", "desk", {"trials": value})
@@ -349,7 +355,7 @@ def test_integer_overrides_reject_non_integers(value):
 
 
 def test_integer_overrides_accept_integral_values():
-    for value in (7, 7.0, "7"):
+    for value in (7, 7.0):
         spec = preset_config("exp1_transition", "desk", {"trials": value}).items[0].spec
         assert spec.trials == 7 and isinstance(spec.trials, int)
 

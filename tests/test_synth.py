@@ -38,10 +38,6 @@ def test_noise_spec_validation():
         NoiseSpec("cauchy")
     with pytest.raises(ValueError, match="df > 2"):
         NoiseSpec("student_t", df=2.0)
-    with pytest.raises(ValueError, match="low <= high"):
-        NoiseSpec("heteroskedastic", low=1.5, high=0.5)
-    with pytest.raises(ValueError, match="average to 1"):
-        NoiseSpec("heteroskedastic", low=0.5, high=1.0)
 
 
 def test_mask_spec_validation():
@@ -120,9 +116,6 @@ def test_heteroskedastic_noise_column_profile():
     # column variances are uniform on [0.5, 1.5], so the grand variance
     # concentrates near 1 but carries O(1/sqrt(cols)) spread
     assert 0.9 < z.var() < 1.1
-    tight = sample_noise(NoiseSpec("heteroskedastic", low=0.9, high=1.1),
-                         4000, 200, seed=99)
-    assert 0.97 < tight.var() < 1.03
 
 
 def test_noise_deterministic_and_seed_sensitive():
