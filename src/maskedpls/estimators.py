@@ -17,6 +17,7 @@ from .streams import substream
 from .synth import MaskedPair
 
 ESTIMATOR_NAMES = ("pls_svd_zero", "mean_impute", "em_pls", "iterative_svd", "oracle")
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ def _em_pls(pair: MaskedPair, kind: EstimatorKind):
         c = x_imp.T @ y_imp / n
         triple = top_singular_pair(c)
         sigma = triple.value
-        if sigma_prev is not None and abs(sigma - sigma_prev) <= kind.tol * max(
-                sigma_prev, np.finfo(float).tiny):
+        if (sigma_prev is not None
+                and abs(sigma - sigma_prev) <= kind.tol * max(sigma_prev, _TINY)):
             iterations = it
             break
         sigma_prev = sigma
@@ -116,7 +117,7 @@ def _hard_impute(obs: np.ndarray, mask: np.ndarray, max_iter: int, tol: float):
             u = np.linalg.eigh(completed @ completed.T)[1][:, -1:]
             cur = np.einsum("ik,ik->i", u[rows], (completed.T @ u)[cols])
         completed[rows, cols] = cur
-        denom = np.linalg.norm(prev) + np.finfo(float).tiny
+        denom = np.linalg.norm(prev) + _TINY
         if np.linalg.norm(cur - prev) <= tol * denom:
             iterations = it
             break

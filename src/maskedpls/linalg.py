@@ -20,6 +20,7 @@ from .streams import substream
 DENSE_FALLBACK_DIM = 32
 _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 1000
+_TINY = np.finfo(np.float64).tiny
 
 _RANK_RTOL = 1e-10
 # CholeskyQR acceptance: the Frobenius bound ||R||_F ||R^-1||_F caps the
@@ -156,7 +157,8 @@ def top_singular_pair(m) -> SingularTriple:
     for _ in range(_POWER_MAX_ITER):
         y = b @ x
         lam = float(x @ y)
-        ny = np.linalg.norm(y)
+        # numpy's own formula for the 2-norm of a real vector, bit for bit
+        ny = np.sqrt(y @ y)
         if ny == 0.0:
             # start vector fell in the null space; try a fresh one
             x = rng.standard_normal(dim)
@@ -164,7 +166,7 @@ def top_singular_pair(m) -> SingularTriple:
             lam_prev = np.inf
             continue
         x = y / ny
-        if abs(lam - lam_prev) <= _POWER_TOL * max(abs(lam), np.finfo(float).tiny):
+        if abs(lam - lam_prev) <= _POWER_TOL * max(abs(lam), _TINY):
             converged = True
             break
         lam_prev = lam

@@ -149,19 +149,34 @@ def sample_noise(spec: NoiseSpec, rows: int, cols: int, seed: int) -> np.ndarray
     return rng.standard_normal((rows, cols)) * np.sqrt(variances)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) cannot overflow; both branches on every entry beat a mask split
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function of z, written to out (which may be z itself).
+
+    With e = exp(-|z|), which cannot overflow, the result is
+    max(e, z >= 0) / (1 + e): since e <= 1 that is 1 / (1 + e) where
+    z >= 0 and e / (1 + e) elsewhere, bit for bit, in one division per
+    entry.  scratch, if given, is a buffer of z's shape that receives e.
+    """
+    nonneg = z >= 0  # read before out, which may be z, is written
+    e = np.abs(z, out=scratch)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, nonneg, out=out)
+    np.add(e, 1.0, out=e)
+    return np.divide(out, e, out=out)
 
 
 def _standardize(scores: np.ndarray) -> np.ndarray:
+    """Centre and scale scores to unit variance, in place."""
     mu = scores.mean()
     sd = scores.std()
     if sd < 1e-12:
         # constant score carries no information; degenerate to MCAR
         return np.zeros_like(scores)
-    return (scores - mu) / sd
+    scores -= mu
+    scores /= sd
+    return scores
 
 
 def _solve_intercept(scores: np.ndarray, strength: float, target: float) -> float:
@@ -174,14 +189,18 @@ def _solve_intercept(scores: np.ndarray, strength: float, target: float) -> floa
     bisects it instead.  Since |f''| <= f', a Newton step s leaves an
     error of about s**2 / 2, so it stops after a step below
     _NEWTON_STEP_TOL (the result is then within float64 rounding of the
-    root) or on f == 0.
+    root) or on f == 0.  Every step reuses the same two view-sized
+    buffers.
     """
     shift = strength * scores
-    span = float(np.abs(shift).max()) if shift.size else 0.0
+    span = max(float(shift.max()), -float(shift.min())) if shift.size else 0.0
     lo, hi = -span - 40.0, span + 40.0
     b = float(np.clip(np.log(target / (1.0 - target)), lo, hi))
+    p = np.empty_like(shift)
+    w = np.empty_like(shift)
     for _ in range(_INTERCEPT_MAX_STEPS):
-        p = _sigmoid(b + shift)
+        np.add(b, shift, out=p)
+        _sigmoid(p, out=p, scratch=w)
         f = float(p.mean()) - target
         if f == 0.0:
             return b
@@ -189,7 +208,9 @@ def _solve_intercept(scores: np.ndarray, strength: float, target: float) -> floa
             lo = b
         else:
             hi = b
-        slope = float((p * (1.0 - p)).mean())
+        np.subtract(1.0, p, out=w)
+        np.multiply(p, w, out=w)
+        slope = float(w.mean())
         step = -f / slope if slope > 0.0 else np.inf
         if abs(step) <= _NEWTON_STEP_TOL:
             return b + step
@@ -224,9 +245,10 @@ def _mar_scores(spec: MaskSpec, data_context, rows: int, cols: int) -> np.ndarra
             raise ValueError(
                 f"thresholded context must match the view shape {(rows, cols)}")
         cut = np.quantile(ctx, _THRESHOLD_QUANTILE, axis=0)
-        ind = (ctx > cut).astype(np.float64)
+        # the standardized indicator of ctx > cut takes two values
         p = 1.0 - _THRESHOLD_QUANTILE
-        return (ind - p) / np.sqrt(p * (1.0 - p))
+        sd = np.sqrt(p * (1.0 - p))
+        return np.where(ctx > cut, (1.0 - p) / sd, (0.0 - p) / sd)
     # correlated: row score from the other view's mean entry magnitude
     if ctx.ndim != 2 or ctx.shape[0] != rows:
         raise ValueError(
@@ -256,8 +278,9 @@ def sample_mask(spec: MaskSpec, data_context, rows: int, cols: int,
         return uniforms >= spec.target_rate
     scores = _mar_scores(spec, data_context, rows, cols)
     intercept = _solve_intercept(scores, spec.strength, spec.target_rate)
-    p_missing = _sigmoid(intercept + spec.strength * scores)
-    return uniforms >= p_missing
+    z = spec.strength * scores
+    z += intercept
+    return uniforms >= _sigmoid(z, out=z)
 
 
 def _view_context(spec: MaskSpec, own_latent: np.ndarray,

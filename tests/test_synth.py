@@ -1,5 +1,7 @@
 """Tests for the synthetic and semi-synthetic data generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,12 +225,26 @@ def test_sigmoid_is_bitwise_the_two_branch_form():
         out[~pos] = ez / (1.0 + ez)
         return out
 
-    edges = np.array([0.0, -0.0, 50.0, -50.0, 800.0, -800.0, np.inf, -np.inf])
+    # zero, subnormal and tiny inputs, and the edges where exp underflows
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 50.0, -50.0,
+                      709.0, -709.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf])
     dense = 30.0 * substream(6, "sigmoid").standard_normal((1000, 200))
     for z in (edges, dense):
-        got, want = synth._sigmoid(z), two_branch(z)
-        assert got.tobytes() == want.tobytes()
+        want = two_branch(z).tobytes()
+        assert synth._sigmoid(z).tobytes() == want
+        # a separate out (with scratch) leaves z alone
+        before = z.tobytes()
+        out = np.empty_like(z)
+        got = synth._sigmoid(z, out=out, scratch=np.empty_like(z))
+        assert got is out and out.tobytes() == want
+        assert z.tobytes() == before
+        # out is z: the result overwrites its own input
+        inplace = z.copy()
+        assert synth._sigmoid(inplace, out=inplace) is inplace
+        assert inplace.tobytes() == want
     np.testing.assert_array_equal(synth._sigmoid(edges[-2:]), [1.0, 0.0])
+    # a NaN input stays NaN (its sign bit is not specified)
+    assert np.isnan(synth._sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 def _bisect_intercept(scores, strength, target):
@@ -262,9 +278,9 @@ def test_intercept_matches_bisection_reference(target, monkeypatch):
     calls = []
     sigmoid = synth._sigmoid
 
-    def counting(z):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return sigmoid(z)
+        return sigmoid(*args, **kwargs)
 
     for mech, ctx in _mar_contexts(rows, cols).items():
         spec = MaskSpec(mech, target, 1.0)
@@ -293,6 +309,27 @@ def test_intercept_row_scores_match_full_matrix():
         full = synth._solve_intercept(np.repeat(col, cols, axis=1), 0.7, target)
         assert abs(compact - broadcast) <= 1e-12
         assert abs(compact - full) <= 1e-12
+
+
+def test_mar_link_reuses_its_buffers():
+    # the intercept solve holds shift and two reused buffers; the mask
+    # adds the uniforms, the scores and the final probabilities
+    rows, cols = 1000, 200
+    ctx = substream(3, "mar-memory").standard_normal((rows, cols))
+    spec = MaskSpec("magnitude_dependent", 0.3, 1.0)
+    scores = synth._mar_scores(spec, ctx, rows, cols)
+    calls = {
+        "solve": (lambda: synth._solve_intercept(scores, 1.0, 0.3), 4.0),
+        "mask": (lambda: sample_mask(spec, ctx, rows, cols, seed=4), 6.0),
+    }
+    for name, (call, bound) in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * scores.nbytes, (name, peak / scores.nbytes)
 
 
 def test_mask_deterministic():
