@@ -16,7 +16,9 @@ results are identical bit for bit for every harness thread count.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -287,6 +289,39 @@ def result_digest(points: Sequence[PointSummary]) -> str:
     return h.hexdigest()
 
 
+# glibc's mallopt parameters (malloc.h) and the ceiling its adaptive rule
+# approaches on 64-bit: DEFAULT_MMAP_THRESHOLD_MAX, and twice that for trim
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _mallopt():
+    """libc's ``mallopt`` in the running process, None when absent."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    fn.argtypes = [ctypes.c_int, ctypes.c_int]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+@functools.cache
+def _keep_trial_heap() -> None:
+    """Start glibc's malloc at its adaptive thresholds' ceiling, once.
+
+    By default glibc returns freed arrays above 128 KiB to the kernel, so
+    each trial faults its working set back in.  With these thresholds
+    arrays below 32 MiB are reused from the heap by the next trial.
+    """
+    fn = _mallopt()
+    if fn is not None:
+        fn(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        fn(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def run_sweep(spec: SweepSpec, threads: int = 1,
               pair_factory: PairFactory | None = None) -> SweepResult:
     """Run every trial of ``spec`` on ``threads`` worker threads and
@@ -299,9 +334,17 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
     when numpy bundles no OpenBLAS.  The count is process-wide, so
     concurrent ``run_sweep`` calls from several Python threads are not
     supported.
+
+    The first sweep of a process sets glibc's malloc thresholds, mmap to
+    32 MiB and trim to 64 MiB, so that trials reuse freed heap instead of
+    faulting it back in.  They are not restored: setting them turns
+    glibc's adaptive rule off for the rest of the process, and after the
+    first sweep up to 64 MiB of freed heap per malloc arena stays mapped.
+    Results never depend on them.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    _keep_trial_heap()
     t_start = time.perf_counter()
     assignments = grid_assignments(spec)
     configs = [

@@ -16,6 +16,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from maskedpls import __version__, theory
 from maskedpls.estimators import rescaled_cross_covariance, squared_overlaps
@@ -25,6 +26,9 @@ from maskedpls.matio import emit_results, ingest_matrix, load_results, write_mat
 from maskedpls.presets import evaluate_check, preset_config
 from maskedpls.synth import (MaskSpec, ModelConfig, NoiseSpec, generate_pair,
                              planted_pair, sample_mask, sample_noise)
+
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:
