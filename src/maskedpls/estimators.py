@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import top_eigenvector
 from .linalg import top_singular_pair, vector_correlation
 from .streams import substream
 from .synth import MaskedPair
@@ -103,25 +104,26 @@ def _hard_impute(obs: np.ndarray, mask: np.ndarray, max_iter: int, tol: float):
     each step needs only the top eigenvector of the smaller Gram matrix,
     and the reconstruction only at the missing entries.
     """
-    completed = _column_mean_impute(obs, mask)
-    rows, cols = np.nonzero(~mask)
+    completed = np.ascontiguousarray(_column_mean_impute(obs, mask))
+    flat = completed.reshape(-1)  # a view: writes land in completed
+    missing = np.flatnonzero(~mask)
+    rows, cols = np.divmod(missing, completed.shape[1])
     tall = completed.shape[0] >= completed.shape[1]
-    prev = completed[rows, cols]
+    prev = flat[missing]
+    prev_norm = np.linalg.norm(prev)
     iterations = max_iter
     for it in range(1, max_iter + 1):
         if tall:
-            # the top eigenvector as a one-column block for the einsums
-            v = np.linalg.eigh(completed.T @ completed)[1][:, -1:]
-            cur = np.einsum("ik,ik->i", (completed @ v)[rows], v[cols])
+            v = top_eigenvector(completed.T @ completed)
+            cur = (completed @ v)[rows] * v[cols]
         else:
-            u = np.linalg.eigh(completed @ completed.T)[1][:, -1:]
-            cur = np.einsum("ik,ik->i", u[rows], (completed.T @ u)[cols])
-        completed[rows, cols] = cur
-        denom = np.linalg.norm(prev) + _TINY
-        if np.linalg.norm(cur - prev) <= tol * denom:
+            u = top_eigenvector(completed @ completed.T)
+            cur = u[rows] * (completed.T @ u)[cols]
+        flat[missing] = cur
+        if np.linalg.norm(cur - prev) <= tol * (prev_norm + _TINY):
             iterations = it
             break
-        prev = cur
+        prev, prev_norm = cur, np.linalg.norm(cur)
     return completed, iterations
 
 

@@ -285,7 +285,7 @@ def _low_rank_masked(rows, cols, strengths, seed):
     return np.where(mask, full, 0.0), mask
 
 
-@pytest.mark.parametrize("rows,cols", [(120, 30), (30, 80)])
+@pytest.mark.parametrize("rows,cols", [(120, 30), (30, 80), (400, 150)])
 def test_hard_impute_matches_truncated_svd(rows, cols):
     obs, mask = _low_rank_masked(rows, cols, (20.0,), seed=1 + rows)
     want, want_it = _hard_impute_by_svd(obs, mask, 200, 1e-8)
@@ -304,6 +304,17 @@ def test_hard_impute_full_rank_is_a_no_op(shape):
     assert got_it == want_it == 1
     start = _column_mean_impute(obs, mask)
     np.testing.assert_allclose(got, start, rtol=0, atol=1e-10 * np.abs(start).max())
+
+
+def test_hard_impute_fills_fortran_ordered_views():
+    # the refill writes through a flat view, which must not be a copy
+    obs, mask = _low_rank_masked(60, 20, (20.0,), seed=4)
+    want, want_it = _hard_impute(obs, mask, 50, 1e-8)
+    got, got_it = _hard_impute(np.asfortranarray(obs), np.asfortranarray(mask),
+                               50, 1e-8)
+    assert got_it == want_it > 1
+    # column sums run in another order on Fortran-ordered input
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_em_pls_matches_whole_matrix_refit():

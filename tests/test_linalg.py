@@ -1,9 +1,12 @@
 """Tests for the dense linear-algebra kernels."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from maskedpls import linalg
+from maskedpls import blas, linalg
+from maskedpls.blas import top_eigenvector
 from maskedpls.linalg import (
     pca_reduce,
     top_singular_pair,
@@ -209,6 +212,61 @@ def test_top_pair_nonconvergence_carries_partial(monkeypatch):
     assert partial.converged is False
     assert np.linalg.norm(partial.left) == pytest.approx(1.0, abs=1e-8)
     assert np.linalg.norm(partial.right) == pytest.approx(1.0, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# top_eigenvector (LAPACK dsyevr, one eigenpair)
+
+
+def _gram(n, seed):
+    """A random positive semi-definite n×n Gram matrix with n + 3 rows."""
+    a = substream(seed, "top-eigenvector").standard_normal((n + 3, n))
+    return a.T @ a
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 200])
+def test_top_eigenvector_is_the_top_eigenpair(n):
+    gram = _gram(n, seed=n)
+    before = gram.copy()
+    v = top_eigenvector(gram)
+    np.testing.assert_array_equal(gram, before)
+    assert v.shape == (n,)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    values, vectors = np.linalg.eigh(gram)
+    scale = np.linalg.norm(gram)
+    assert np.linalg.norm(gram @ v - values[-1] * v) <= 1e-12 * scale
+    # the top gap is clear, so the direction itself is well defined
+    assert n == 1 or values[-1] - values[-2] > 1e-3 * scale
+    assert abs(float(v @ vectors[:, -1])) >= 1 - 1e-12
+    np.testing.assert_array_equal(top_eigenvector(gram), v)
+
+
+def test_top_eigenvector_without_lapack_driver_is_eighs(monkeypatch):
+    gram = _gram(50, seed=7)
+    monkeypatch.setattr(blas, "_dsyevr", lambda: None)
+    np.testing.assert_array_equal(top_eigenvector(gram),
+                                  np.linalg.eigh(gram)[1][:, -1])
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4,)])
+def test_top_eigenvector_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="square"):
+        top_eigenvector(np.ones(shape))
+
+
+def test_top_eigenvector_concurrent_calls_match_sequential():
+    grams = [_gram(n, seed=20 + n) for n in (50, 120, 200, 150)] * 2
+    sequential = [top_eigenvector(g) for g in grams]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = list(pool.map(top_eigenvector, grams))
+    for want, got in zip(sequential, concurrent):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.skipif(blas.config() is None, reason="numpy bundles no OpenBLAS")
+def test_bundled_openblas_exports_dsyevr():
+    # without it top_eigenvector silently falls back to a full eigh
+    assert blas._dsyevr() is not None
 
 
 # ---------------------------------------------------------------------------
