@@ -100,25 +100,25 @@ def _hard_impute(obs: np.ndarray, mask: np.ndarray, max_iter: int, tol: float):
     """Hard-impute: refill the missing entries from the rank-1 truncated SVD
     of the current completion until the refill stops moving.
 
-    The truncation u s vᵀ equals completed @ v vᵀ (or u uᵀ @ completed), so
-    each step needs only the top eigenvector of the smaller Gram matrix,
-    and the reconstruction only at the missing entries.
+    With t the completion or its transpose, whichever is tall, the
+    truncation equals t v vᵀ, v the top eigenvector of the smaller Gram
+    matrix tᵀt, so each step needs only v, and the reconstruction only
+    at the missing entries.
     """
     completed = np.ascontiguousarray(_column_mean_impute(obs, mask))
     flat = completed.reshape(-1)  # a view: writes land in completed
     missing = np.flatnonzero(~mask)
     rows, cols = np.divmod(missing, completed.shape[1])
     tall = completed.shape[0] >= completed.shape[1]
+    t = completed if tall else completed.T
+    # the missing entries' row and column indices into t
+    t_rows, t_cols = (rows, cols) if tall else (cols, rows)
     prev = flat[missing]
     prev_norm = np.linalg.norm(prev)
     iterations = max_iter
     for it in range(1, max_iter + 1):
-        if tall:
-            v = top_eigenvector(completed.T @ completed)
-            cur = (completed @ v)[rows] * v[cols]
-        else:
-            u = top_eigenvector(completed @ completed.T)
-            cur = u[rows] * (completed.T @ u)[cols]
+        v = top_eigenvector(t.T @ t)
+        cur = (t @ v)[t_rows] * v[t_cols]
         flat[missing] = cur
         if np.linalg.norm(cur - prev) <= tol * (prev_norm + _TINY):
             iterations = it

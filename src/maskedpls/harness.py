@@ -80,6 +80,10 @@ class SweepSpec:
             raise ValueError(f"duplicate axis {names[0]!r}")
         if "theta" in names and "theta_over_crit" in names:
             raise ValueError("theta and theta_over_crit axes are mutually exclusive")
+        # resolve every grid point once, so that a bad axis value is
+        # rejected here rather than when the sweep runs
+        for assignment in grid_assignments(self):
+            _resolved_config(self.base, assignment, self.base.seed)
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class PointSummary:
     dy: int
     mean_runtime: float
     mean_iterations: float
-    errors: tuple[str, ...] = ()
+    errors: tuple[str, ...]
 
 
 @dataclass(frozen=True)

@@ -144,9 +144,11 @@ def top_singular_pair(m) -> SingularTriple:
         return SingularTriple(left=left, right=right, value=float(s[0]),
                               converged=True)
 
-    # iterate on the smaller of the two Gram matrices
-    right_side = cols <= rows
-    b = a.T @ a if right_side else a @ a.T
+    # iterate on the smaller of the two Gram matrices, tᵀt, where t is a
+    # or its transpose, whichever is tall
+    tall = cols <= rows
+    t = a if tall else a.T
+    b = t.T @ t
     dim = b.shape[0]
     rng = substream(_START_KEY, "power-start", dim)
     x = rng.standard_normal(dim)
@@ -171,16 +173,10 @@ def top_singular_pair(m) -> SingularTriple:
             break
         lam_prev = lam
 
-    if right_side:
-        right = x
-        left_raw = a @ right
-        value = float(np.linalg.norm(left_raw))
-        left = left_raw / value
-    else:
-        left = x
-        right_raw = a.T @ left
-        value = float(np.linalg.norm(right_raw))
-        right = right_raw / value
+    other_raw = t @ x
+    value = float(np.linalg.norm(other_raw))
+    other = other_raw / value
+    left, right = (other, x) if tall else (x, other)
     left, right = _canonical_signs(left, right)
     return SingularTriple(left=left, right=right, value=value,
                           converged=converged)

@@ -10,7 +10,9 @@ Matrix carrier formats:
 
 Result emission writes a fixed-column CSV or a JSON document carrying
 the same per-point schema plus run metadata.  All writes go through a
-temp file and an atomic rename.
+temp file and an atomic rename.  ``decode`` is the package's one JSON
+decoder: it reads result points here and sweep documents and preset
+overrides in ``presets``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import math
 import os
 import struct
 import tempfile
-from typing import Mapping, get_type_hints
+import typing
+from dataclasses import MISSING
+from typing import Mapping
 
 import numpy as np
 
@@ -210,43 +214,74 @@ def emit_results(result: SweepResult, path, fmt: str = "csv",
     _atomic_write_bytes(path, payload.encode("utf-8"))
 
 
-def _point_value(tp, value, context: str):
-    """A JSON value as a ``PointSummary`` field of type ``tp``; a float
-    field reads null as NaN, and a value of any other JSON type raises."""
-    if tp == float | None:
-        return None if value is None else _point_value(float, value, context)
-    if tp is float and value is None:
-        return float("nan")
-    if tp is float and type(value) in (int, float):
-        return float(value)
-    if tp == tuple[str, ...] and type(value) is list and all(
-            type(v) is str for v in value):
-        return tuple(value)
-    if tp in (int, bool, str) and type(value) is tp:
-        return value
-    raise ValueError(f"{context} has the wrong type: {value!r}")
-
-
-def _point_from_json(raw: Mapping, context: str) -> PointSummary:
-    if type(raw) is not dict:
-        raise ValueError(f"{context} is not an object: {raw!r}")
-    hints = get_type_hints(PointSummary)
-    unknown = sorted(set(raw) - set(hints))
+def _check_keys(mapping: Mapping, allowed: set[str], context: str) -> None:
+    unknown = set(mapping) - allowed
     if unknown:
-        raise ValueError(f"{context} has unknown fields: {', '.join(unknown)}")
-    values = {}
-    for name, tp in hints.items():
-        if name not in raw:
-            raise ValueError(f"{context}.{name} is missing")
-        values[name] = _point_value(tp, raw[name], f"{context}.{name}")
-    return PointSummary(**values)
+        raise ValueError(f"unknown keys in {context}: {sorted(unknown)}")
+
+
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def decode(tp, value, context: str):
+    """Strictly decode a JSON value into ``tp``: a dataclass, an optional,
+    a homogeneous tuple, or bool/int/float/str.
+
+    Unknown keys are fatal, keys without a dataclass default are
+    required, an integer takes only integral numbers (never booleans),
+    and a float reads null as NaN, the inverse of how results are
+    written; an optional reads null as None.  Errors raise ``ValueError``
+    naming ``context``, the value's JSON path.
+    """
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{context} must be an object, got {value!r}")
+        fields = dataclasses.fields(tp)
+        _check_keys(value, {f.name for f in fields}, context)
+        hints = typing.get_type_hints(tp)
+        kwargs = {}
+        for f in fields:
+            if f.name in value:
+                kwargs[f.name] = decode(hints[f.name], value[f.name],
+                                        f"{context}.{f.name}")
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{context} is missing required key {f.name!r}")
+        try:
+            return tp(**kwargs)
+        except ValueError as err:
+            raise ValueError(f"{context}: {err}") from err
+    args = typing.get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return decode(tp, value, context)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{context} must be a list, got {value!r}")
+        return tuple(decode(args[0], v, f"{context}[{i}]")
+                     for i, v in enumerate(value))
+    if tp is int:
+        integral = (isinstance(value, int) and not isinstance(value, bool)
+                    or isinstance(value, float) and value.is_integer())
+        decoded = int(value) if integral else None
+    elif tp is float and value is None:
+        decoded = float("nan")
+    elif tp is float and not isinstance(value, bool) and isinstance(value, (int, float)):
+        decoded = float(value)
+    else:
+        decoded = value if type(value) is tp else None
+    if decoded is None:
+        raise ValueError(f"{context} must be {_JSON_KINDS[tp]}, got {value!r}")
+    return decoded
 
 
 def points_from_json(doc: Mapping) -> list[PointSummary]:
     points = doc.get("points")
     if type(points) is not list:
         raise ValueError(f"result document needs a 'points' list, got {points!r}")
-    return [_point_from_json(raw, f"points[{i}]")
+    return [decode(PointSummary, raw, f"points[{i}]")
             for i, raw in enumerate(points)]
 
 

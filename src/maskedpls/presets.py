@@ -9,11 +9,13 @@ two forms:
 * ``{"preset": ..., "scale": ..., "overrides": {...}}``
 * ``{"sweep": {"base": {...}, "axis": {...}, ...}}``
 
-A sweep document is decoded strictly against the dataclasses it
-describes: unknown keys are fatal at every level, keys without a
-dataclass default are required, each value must have its field's JSON
-type (an integer field takes only integral numbers, never booleans), and
-an absent optional key takes the dataclass default.  The resolved echo
+A sweep document is decoded by ``matio.decode``, strictly against the
+dataclasses it describes: unknown keys are fatal at every level, keys
+without a dataclass default are required, each value must have its
+field's JSON type (an integer field takes only integral numbers, never
+booleans, and a float reads null as NaN), and an absent optional key
+takes the dataclass default.  Override values go through the same
+decoder, and its errors are reported as ``ConfigError``.  The resolved echo
 printed by the CLI is itself a valid config document; feeding it back
 reproduces the run bit-for-bit.  Its ``resolved`` section must equal the
 one regenerated from the document's own preset, scale and overrides, so
@@ -26,11 +28,11 @@ read their verdicts from it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
-import typing
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -38,7 +40,7 @@ import numpy as np
 from .estimators import ESTIMATOR_NAMES, EstimatorKind
 from .harness import (Axis, PairFactory, PointSummary, SweepResult, SweepSpec,
                       empirical_boundary, transition_width)
-from .matio import ingest_matrix
+from .matio import _check_keys, decode, ingest_matrix
 from .streams import derive_seed, substream
 from .synth import (MASK_MECHANISMS, MaskSpec, ModelConfig, NoiseSpec,
                     planted_pair, prepare_semi_synthetic)
@@ -52,6 +54,18 @@ SCALES = ("paper", "desk")
 
 class ConfigError(ValueError):
     """A configuration that cannot be resolved into runnable sweeps."""
+
+
+@contextlib.contextmanager
+def _as_config_error():
+    """Report a ValueError raised inside, from the decoder or a dataclass
+    check, as a configuration error."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 @dataclass(frozen=True)
@@ -81,17 +95,6 @@ def _mcar(rate: float) -> MaskSpec:
     return MaskSpec(target_rate=rate)
 
 
-def _integer(value) -> int | None:
-    """``value`` as an int when it is an integral number (never a bool)."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return None
-
-
 class _Overrides:
     """Typed consumption of an override mapping; leftovers are fatal."""
 
@@ -100,21 +103,13 @@ class _Overrides:
         self._preset = preset
 
     def take_int(self, key: str, default: int, minimum: int = 1) -> int:
-        raw = self._data.pop(key, default)
-        value = _integer(raw)
-        if value is None:
-            raise ConfigError(f"override {key!r} must be an integer, got {raw!r}")
+        value = decode(int, self._data.pop(key, default), f"override {key!r}")
         if value < minimum:
             raise ConfigError(f"override {key!r} must be at least {minimum}, got {value}")
         return value
 
     def take_str(self, key: str, default: str | None = None) -> str | None:
-        raw = self._data.pop(key, default)
-        if raw is None:
-            return None
-        if not isinstance(raw, str):
-            raise ConfigError(f"override {key!r} must be a string, got {raw!r}")
-        return raw
+        return decode(str | None, self._data.pop(key, default), f"override {key!r}")
 
     def finish(self) -> None:
         if self._data:
@@ -336,12 +331,8 @@ def preset_config(name: str, scale: str = "desk",
     if scale not in SCALES:
         raise ConfigError(f"unknown scale {scale!r}, expected one of {SCALES}")
     ov = _Overrides(overrides, name)
-    try:
+    with _as_config_error():
         items = _BUILDERS[name](scale, ov)
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(str(err)) from err
     ov.finish()
     echo = {
         "preset": name,
@@ -350,58 +341,6 @@ def preset_config(name: str, scale: str = "desk",
         "resolved": {item.name: dataclasses.asdict(item.spec) for item in items},
     }
     return ResolvedConfig(echo=echo, items=tuple(items))
-
-
-def _check_keys(mapping: Mapping, allowed: set[str], context: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
-
-
-_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string"}
-
-
-def _decode(tp, value, context: str):
-    """Strictly decode a JSON value into ``tp``: a dataclass, an optional,
-    a homogeneous tuple, or bool/int/float/str."""
-    if dataclasses.is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{context} must be an object, got {value!r}")
-        fields = dataclasses.fields(tp)
-        _check_keys(value, {f.name for f in fields}, context)
-        hints = typing.get_type_hints(tp)
-        kwargs = {}
-        for f in fields:
-            if f.name in value:
-                kwargs[f.name] = _decode(hints[f.name], value[f.name],
-                                         f"{context}.{f.name}")
-            elif f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"{context} is missing required key {f.name!r}")
-        try:
-            return tp(**kwargs)
-        except ValueError as err:
-            raise ConfigError(f"{context}: {err}") from err
-    args = typing.get_args(tp)
-    if type(None) in args:
-        if value is None:
-            return None
-        (tp,) = (a for a in args if a is not type(None))
-        return _decode(tp, value, context)
-    if typing.get_origin(tp) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{context} must be a list, got {value!r}")
-        return tuple(_decode(args[0], v, f"{context}[{i}]")
-                     for i, v in enumerate(value))
-    if tp is int:
-        decoded = _integer(value)
-    elif tp is float and not isinstance(value, bool) and isinstance(value, (int, float)):
-        decoded = float(value)
-    else:
-        decoded = value if type(value) is tp else None
-    if decoded is None:
-        raise ConfigError(f"{context} must be {_JSON_KINDS[tp]}, got {value!r}")
-    return decoded
 
 
 def _check_resolved(section, echo: dict) -> None:
@@ -427,28 +366,29 @@ def parse_config(text: str, overrides: Mapping | None = None,
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    if "preset" in doc:
-        _check_keys(doc, {"preset", "scale", "overrides", "resolved"}, "config")
-        name, scale = str(doc["preset"]), str(doc.get("scale", "desk"))
-        own = doc.get("overrides", {})
-        if not isinstance(own, dict):
-            raise ConfigError("overrides must be an object")
-        merged = {**own, **dict(overrides or {})}
-        if seed is not None:
-            merged["seed"] = seed
-        if "resolved" in doc:
-            _check_resolved(doc["resolved"], preset_config(name, scale, own).echo)
-        return preset_config(name, scale, merged)
-    if "sweep" in doc:
-        _check_keys(doc, {"sweep"}, "config")
-        if overrides:
-            raise ConfigError("overrides apply to presets, not raw sweeps")
-        spec = _decode(SweepSpec, doc["sweep"], "sweep")
-        if seed is not None:
-            spec = dataclasses.replace(
-                spec, base=dataclasses.replace(spec.base, seed=seed))
-        echo = {"sweep": dataclasses.asdict(spec)}
-        return ResolvedConfig(echo=echo, items=(RunItem("sweep", spec),))
+    with _as_config_error():
+        if "preset" in doc:
+            _check_keys(doc, {"preset", "scale", "overrides", "resolved"}, "config")
+            name, scale = str(doc["preset"]), str(doc.get("scale", "desk"))
+            own = doc.get("overrides", {})
+            if not isinstance(own, dict):
+                raise ConfigError("overrides must be an object")
+            merged = {**own, **dict(overrides or {})}
+            if seed is not None:
+                merged["seed"] = seed
+            if "resolved" in doc:
+                _check_resolved(doc["resolved"], preset_config(name, scale, own).echo)
+            return preset_config(name, scale, merged)
+        if "sweep" in doc:
+            _check_keys(doc, {"sweep"}, "config")
+            if overrides:
+                raise ConfigError("overrides apply to presets, not raw sweeps")
+            spec = decode(SweepSpec, doc["sweep"], "sweep")
+            if seed is not None:
+                spec = dataclasses.replace(
+                    spec, base=dataclasses.replace(spec.base, seed=seed))
+            echo = {"sweep": dataclasses.asdict(spec)}
+            return ResolvedConfig(echo=echo, items=(RunItem("sweep", spec),))
     raise ConfigError("config must contain either 'preset' or 'sweep'")
 
 

@@ -43,6 +43,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
+        if not np.isfinite(self.df):
+            raise ValueError(f"df must be finite, got {self.df}")
         if self.kind == "student_t" and not self.df > 2:
             raise ValueError(f"student_t needs df > 2 for finite variance, got {self.df}")
 

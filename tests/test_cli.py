@@ -278,6 +278,18 @@ def test_run_rejects_malformed_sweep_as_configuration_error(tmp_path, capsys, sw
     assert err.startswith("configuration error: sweep.")
 
 
+@pytest.mark.parametrize("axis, message", [
+    ({"name": "rho", "values": [0.5, 1.5]}, "rho axis value must be in (0, 1], got 1.5"),
+    ({"name": "n_samples", "values": [0.2]}, "n_samples must be a positive integer, got 0"),
+    ({"name": "theta", "values": [1.0, -1.0]}, "theta must be non-negative, got -1.0"),
+])
+def test_run_rejects_bad_axis_values_before_running(tmp_path, capsys, axis, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"sweep": {**SMALL_SWEEP["sweep"], "axis": axis}}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"configuration error: sweep: {message}" in capsys.readouterr().err
+
+
 def test_run_rejects_non_integer_override(capsys):
     code = main(["run", "--preset", "exp1_transition", "--override", "trials=2.9"])
     assert code == EXIT_CONFIG

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+import typing
 
 import numpy as np
 import pytest
@@ -199,6 +200,30 @@ def test_results_json_null_encodes_nan():
     assert math.isnan(restored[0].mean_stability)
 
 
+def test_result_points_read_null_floats_as_nan_and_integral_integers(tmp_path):
+    result = _small_sweep()
+    doc = json.loads(results_to_json(result))
+    floats = [name for name, tp in typing.get_type_hints(PointSummary).items()
+              if tp is float]
+    for name in floats:
+        doc["points"][0][name] = None
+    doc["points"][0]["trials_requested"] = 3.0
+    point = points_from_json(doc)[0]
+    assert all(math.isnan(getattr(point, name)) for name in floats)
+    assert point.axis2 is None  # an optional float reads null as None
+    assert point.trials_requested == 3 and type(point.trials_requested) is int
+    # fields outside the digest load back as NaN from a written file
+    doc = json.loads(results_to_json(result))
+    doc["points"][0]["mean_runtime"] = None
+    path = tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert load_results(path)["digest"] == result.digest
+    for value in (True, "3"):
+        doc["points"][0]["trials_requested"] = value
+        with pytest.raises(ValueError, match=r"points\[0\]\.trials_requested must be an integer"):
+            points_from_json(doc)
+
+
 def test_load_results_detects_tampering(tmp_path):
     result = _small_sweep()
     path = tmp_path / "out.json"
@@ -234,7 +259,7 @@ def test_load_results_rejects_a_missing_field(tmp_path):
     doc = json.loads(path.read_text())
     del doc["points"][1]["mean_runtime"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"points\[1\]\.mean_runtime"):
+    with pytest.raises(ValueError, match=r"points\[1\] is missing required key 'mean_runtime'"):
         load_results(path)
 
 
@@ -245,7 +270,7 @@ def test_load_results_rejects_an_unknown_field(tmp_path):
     doc = json.loads(path.read_text())
     doc["points"][1]["bogus"] = 1
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"points\[1\] has unknown fields: bogus"):
+    with pytest.raises(ValueError, match=r"unknown keys in points\[1\]: \['bogus'\]"):
         load_results(path)
 
 
@@ -254,7 +279,7 @@ def _without(doc, key):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda doc: dict(doc, points=[1]), r"points\[0\] is not an object"),
+    (lambda doc: dict(doc, points=[1]), r"points\[0\] must be an object"),
     (lambda doc: _without(doc, "points"), "needs a 'points' list"),
     (lambda doc: _without(doc, "digest"), "has no 'digest'"),
     (lambda doc: [doc], "not a JSON object"),

@@ -167,11 +167,12 @@ def test_top_pair_oracle_corpus_up_to_12():
             assert abs(float(triple.left @ u_ref[:, 0])) > 1 - 1e-10
 
 
-def test_top_pair_power_iteration_path():
+@pytest.mark.parametrize("shape", [(120, 40), (40, 120)], ids=["tall", "wide"])
+def test_top_pair_power_iteration_path(shape):
     # min dimension above the dense-fallback cutoff exercises power
     # iteration; the dense SVD stays the oracle.
     rng = substream(11, "svd-power")
-    m = rng.standard_normal((120, 40))
+    m = rng.standard_normal(shape)
     triple = top_singular_pair(m)
     u_ref, s_ref, vt_ref = np.linalg.svd(m, full_matrices=False)
     assert triple.value == pytest.approx(s_ref[0], rel=1e-9)

@@ -345,6 +345,20 @@ def test_every_preset_spec_round_trips_through_the_sweep_form():
                 assert again.echo == {"sweep": resolved.echo["resolved"][item.name]}
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("base", "theta"), None, r"theta must be non-negative, got nan"),
+    (("base", "noise"), {"df": None}, r"sweep\.base\.noise: df must be finite, got nan"),
+    (("base", "mask_x"), {"target_rate": None}, r"target_rate must be in \[0, 1\), got nan"),
+    (("base", "mask_y"), {"strength": None}, r"strength must be in \[0, 1\], got nan"),
+    (("estimator",), {"tol": None}, r"tol must be positive, got nan"),
+    (("axis", "values"), [None], r"axis values must be finite"),
+])
+def test_sweep_decoder_reads_null_floats_as_nan_and_rejects_them(path, value, message):
+    # a float reads null as NaN, which every float a sweep sets rejects
+    with pytest.raises(ConfigError, match=message):
+        parse_config(_sweep_with(path, value))
+
+
 @pytest.mark.parametrize("value", [2.9, True, 100.7, "2.5", None, [3], "7"])
 def test_integer_overrides_reject_non_integers(value):
     with pytest.raises(ConfigError, match="override 'trials' must be an integer"):

@@ -11,6 +11,7 @@ from maskedpls.presets import preset_config
 from maskedpls.streams import substream
 from maskedpls.synth import (
     MASK_MECHANISMS,
+    NOISE_KINDS,
     MaskedPair,
     MaskSpec,
     ModelConfig,
@@ -40,6 +41,14 @@ def test_noise_spec_validation():
         NoiseSpec("cauchy")
     with pytest.raises(ValueError, match="df > 2"):
         NoiseSpec("student_t", df=2.0)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_noise_spec_rejects_non_finite_df_for_every_kind(kind):
+    # a sweep document's null df decodes as NaN, which no kind may accept
+    for df in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="df must be finite"):
+            NoiseSpec(kind, df=df)
 
 
 def test_mask_spec_validation():
