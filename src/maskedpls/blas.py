@@ -1,10 +1,12 @@
 """numpy's bundled OpenBLAS: its build configuration, its thread count,
-and the one LAPACK driver numpy does not expose.
+and the LAPACK and BLAS routines numpy does not expose.
 
 The library is located on first use and only once, so importing the
 package does no extra work.  When numpy bundles no OpenBLAS, or the
 library lacks a function, every helper returns None and changes
-nothing, and ``top_eigenvector`` answers from ``np.linalg.eigh``.
+nothing, and the routines answer from numpy: ``top_eigenvector`` from
+``np.linalg.eigh``, ``lower_inverse`` from ``np.linalg.inv`` and
+``times_lower_transposed`` from a matrix product.
 """
 
 from __future__ import annotations
@@ -96,3 +98,80 @@ def top_eigenvector(sym: np.ndarray) -> np.ndarray:
         if info == 0 and m[0] == 1:
             return z
     return np.linalg.eigh(sym)[1][:, -1]
+
+
+@functools.cache
+def _dtrtri():
+    i64 = ctypes.c_int64
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    # LAPACKE_dtrtri(layout, uplo, diag, n, a, lda)
+    return _function("scipy_LAPACKE_dtrtri64_", i64,
+                     [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, doubles,
+                      i64])
+
+
+_ROW_MAJOR = 101  # CBLAS's CblasRowMajor
+_RIGHT = 142      # CblasRight
+_LOWER = 122      # CblasLower
+_TRANS = 112      # CblasTrans
+_NON_UNIT = 131   # CblasNonUnit
+
+
+@functools.cache
+def _dtrmm():
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    # cblas_dtrmm(layout, side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
+    return _function("scipy_cblas_dtrmm64_", None,
+                     [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
+                      ctypes.c_int, i64, i64, f64, doubles, i64, doubles, i64])
+
+
+def _check_triangle(low: np.ndarray) -> None:
+    if low.ndim != 2 or low.shape[0] != low.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {low.shape}")
+    if low.dtype != np.float64 or not low.flags.c_contiguous:
+        raise ValueError("expected a C-contiguous float64 matrix")
+
+
+def lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular ``low``, written over ``low``.
+
+    LAPACK's ``dtrtri`` reads and writes the lower triangle only, so the
+    zeros above the diagonal stay zero.  ``low`` must be a C-contiguous
+    float64 array.  Without the routine the inverse is ``np.linalg.inv``'s,
+    in a new array.  Raises ``np.linalg.LinAlgError`` when ``low`` has a
+    zero on its diagonal.
+    """
+    _check_triangle(low)
+    fn = _dtrtri()
+    if fn is None:
+        return np.linalg.inv(low)
+    n = low.shape[0]
+    # a C-ordered lower triangle is the upper triangle of its column-major view
+    info = fn(_COL_MAJOR, b"U", b"N", n, low, n)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"triangular inverse failed: LAPACK dtrtri returned {info}")
+    return low
+
+
+def times_lower_transposed(a: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """``a @ low.T`` for a lower-triangular ``low``, in a new array.
+
+    BLAS's ``dtrmm`` forms the product in place on a copy of ``a`` and
+    reads only ``low``'s lower triangle, which must be C-contiguous
+    float64.  Without the routine the result is numpy's ``a @ low.T``.
+    """
+    _check_triangle(low)
+    rows, cols = a.shape
+    if low.shape[0] != cols:
+        raise ValueError(
+            f"shapes {a.shape} and {low.shape} do not multiply")
+    fn = _dtrmm()
+    if fn is None:
+        return a @ low.T
+    b = np.array(a, dtype=np.float64, order="C")
+    fn(_ROW_MAJOR, _RIGHT, _LOWER, _TRANS, _NON_UNIT, rows, cols, 1.0,
+       low, cols, b, cols)
+    return b

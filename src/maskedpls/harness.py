@@ -7,11 +7,14 @@ predictions.  Every trial's seed depends only on its (point, trial)
 coordinates, so the trials draw the same inputs at any harness thread
 count.  Their arithmetic is fixed by the numpy/OpenBLAS build and the
 BLAS thread count, because BLAS kernels may round differently under
-another count.  ``run_sweep`` runs OpenBLAS at ``max(1, n // threads)``
-threads, n being its count when the sweep starts, so a sweep on k
-harness threads gives the results of a one-thread sweep run at
-``OPENBLAS_NUM_THREADS=max(1, n // k)``.  With OpenBLAS on one thread,
-results are identical bit for bit for every harness thread count.
+another count.  ``run_sweep`` runs OpenBLAS at
+``max(1, n // max(threads, 2))`` threads, n being its count when the
+sweep starts: a one-thread sweep leaves a share of the cores to the
+helper thread that draws its next trial, so it runs at the count of a
+two-thread sweep.  Results depend on the harness thread count only
+through that BLAS count, so one- and two-thread sweeps agree bit for
+bit, and with OpenBLAS on one thread, results are identical for every
+harness thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import ctypes
 import dataclasses
 import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Callable, Mapping, Sequence
@@ -30,7 +33,7 @@ import numpy as np
 from . import blas
 from .estimators import EstimatorKind, estimate, split_half_stability
 from .streams import derive_seed
-from .synth import MaskedPair, ModelConfig, generate_pair
+from .synth import MaskedPair, ModelConfig, PairDraws, draw_pair, generate_pair
 from .theory import critical_threshold, predict
 
 AXIS_NAMES = ("theta", "theta_over_crit", "m_x", "m_y", "m_joint", "rho",
@@ -88,6 +91,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One trial's fit.  runtime is the wall time from the trial's start to
+    its fit; on one harness thread it does not include the draws made
+    ahead of the trial, only any wait for them."""
+
     r2_x: float
     r2_y: float
     stability: float
@@ -177,16 +184,30 @@ def grid_assignments(spec: SweepSpec) -> list[dict[str, float]]:
             for v1 in spec.axis.values for v2 in spec.axis2.values]
 
 
+def _trial_config(config: ModelConfig, trial_index: int) -> ModelConfig:
+    return dataclasses.replace(
+        config, seed=derive_seed(config.seed, "trial", trial_index))
+
+
 def run_trial(config: ModelConfig, estimator: EstimatorKind,
               split_half: bool, trial_index: int,
-              pair_factory: PairFactory | None = None) -> TrialResult:
-    """One independent draw and fit.  Failures are tagged, not raised."""
-    trial_seed = derive_seed(config.seed, "trial", trial_index)
-    trial_config = dataclasses.replace(config, seed=trial_seed)
+              pair_factory: PairFactory | None = None,
+              draws: Future[PairDraws] | None = None) -> TrialResult:
+    """One independent draw and fit.  Failures are tagged, not raised.
+
+    draws, if given, is a future of ``draw_pair`` for this trial's
+    config, made ahead of the trial; it is resolved inside the trial, so
+    a draw that failed is tagged on it.
+    """
+    trial_config = _trial_config(config, trial_index)
+    trial_seed = trial_config.seed
     t0 = time.perf_counter()
     try:
-        factory = pair_factory if pair_factory is not None else generate_pair
-        pair = factory(trial_config)
+        if pair_factory is not None:
+            pair = pair_factory(trial_config)
+        else:
+            pair = generate_pair(trial_config,
+                                 None if draws is None else draws.result())
         fit = estimate(pair, estimator)
         if split_half:
             stability = split_half_stability(pair, trial_seed)
@@ -297,6 +318,7 @@ def result_digest(points: Sequence[PointSummary]) -> str:
 # approaches on 64-bit: DEFAULT_MMAP_THRESHOLD_MAX, and twice that for trim
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
@@ -314,16 +336,20 @@ def _mallopt():
 
 @functools.cache
 def _keep_trial_heap() -> None:
-    """Start glibc's malloc at its adaptive thresholds' ceiling, once.
+    """Start glibc's malloc at its adaptive thresholds' ceiling, once, in
+    a single arena.
 
     By default glibc returns freed arrays above 128 KiB to the kernel, so
     each trial faults its working set back in.  With these thresholds
-    arrays below 32 MiB are reused from the heap by the next trial.
+    arrays below 32 MiB are reused from the heap by the next trial.  One
+    arena makes the draw helper and the pool's workers allocate from that
+    same heap instead of growing one of their own.
     """
     fn = _mallopt()
     if fn is not None:
         fn(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         fn(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+        fn(_M_ARENA_MAX, 1)
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1,
@@ -331,20 +357,27 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
     """Run every trial of ``spec`` on ``threads`` worker threads and
     aggregate them into points.
 
+    On one worker thread a helper thread makes each trial's draws
+    (``draw_pair``) while the trial before it runs, never more than one
+    trial ahead; a custom ``pair_factory`` makes its own draws in its
+    trial.  On more worker threads each trial makes its own draws.
+
     The workers share OpenBLAS's threads: for the whole sweep OpenBLAS
-    runs ``max(1, n // threads)`` threads, where n is its count when the
-    sweep starts, and n is restored when the sweep returns or raises.
+    runs ``max(1, n // max(threads, 2))`` threads, where n is its count
+    when the sweep starts, and n is restored when the sweep returns or
+    raises.  A one-thread sweep runs at a two-thread sweep's count, which
+    leaves the helper a core and makes the two agree bit for bit.
     ``SweepResult.blas_threads`` records the count the sweep ran at, None
     when numpy bundles no OpenBLAS.  The count is process-wide, so
     concurrent ``run_sweep`` calls from several Python threads are not
     supported.
 
     The first sweep of a process sets glibc's malloc thresholds, mmap to
-    32 MiB and trim to 64 MiB, so that trials reuse freed heap instead of
-    faulting it back in.  They are not restored: setting them turns
-    glibc's adaptive rule off for the rest of the process, and after the
-    first sweep up to 64 MiB of freed heap per malloc arena stays mapped.
-    Results never depend on them.
+    32 MiB and trim to 64 MiB, and its arena count to 1, so that trials
+    reuse freed heap instead of faulting it back in.  They are not
+    restored: setting them turns glibc's adaptive rule off for the rest
+    of the process, and after the first sweep up to 64 MiB of freed heap
+    stays mapped.  Results never depend on them.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -357,19 +390,31 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
     ]
     jobs = [(i, t) for i in range(len(configs)) for t in range(spec.trials)]
 
-    def _job(key):
+    def _job(key, draws=None):
         i, t = key
         return run_trial(configs[i], spec.estimator, spec.split_half, t,
-                         pair_factory=pair_factory)
+                         pair_factory=pair_factory, draws=draws)
+
+    def _draw_ahead(helper, k):
+        if pair_factory is not None or k == len(jobs):
+            return None
+        i, t = jobs[k]
+        return helper.submit(draw_pair, _trial_config(configs[i], t))
 
     ambient = blas.num_threads()
-    budget = None if ambient is None else max(1, ambient // threads)
+    budget = None if ambient is None else max(1, ambient // max(threads, 2))
     try:
         if budget is not None:
             blas.set_num_threads(budget)
         # pool.map keeps job order, so each point's trials are one contiguous slice
         if threads == 1:
-            trials = [_job(key) for key in jobs]
+            trials = []
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                ahead = _draw_ahead(helper, 0)
+                for k, key in enumerate(jobs):
+                    # trial k+1's draws start as trial k starts
+                    draws, ahead = ahead, _draw_ahead(helper, k + 1)
+                    trials.append(_job(key, draws))
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 trials = list(pool.map(_job, jobs))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .streams import substream
 
 # Matrices with min(rows, cols) at or below this use a dense SVD instead
@@ -70,20 +71,30 @@ def _canonical_signs(left: np.ndarray, right: np.ndarray):
 def _whiten_cholesky(a: np.ndarray):
     """CholeskyQR whitening sqrt(rows) * a @ inv(R), R from a.T @ a = R.T R.
 
-    Returns None unless the Cholesky factorization succeeds, the
-    condition bound holds and the result is orthogonal to rounding level.
+    R.T is numpy's lower Cholesky factor L, so inv(R) = inv(L).T: LAPACK
+    inverts L in place and BLAS multiplies a copy of a by it in place,
+    both triangular (see blas.py).  Returns None unless the Cholesky
+    factorization succeeds, the condition bound holds and the result is
+    orthogonal to rounding level.
     """
     rows, cols = a.shape
     try:
-        r = np.linalg.cholesky(a.T @ a).T
+        low = np.linalg.cholesky(a.T @ a)
+        r_norm = np.linalg.norm(low)
+        low_inv = blas.lower_inverse(low)
     except np.linalg.LinAlgError:
         return None
-    r_inv = np.linalg.inv(r)
     # negated comparisons so that a NaN also rejects
-    if not np.linalg.norm(r) * np.linalg.norm(r_inv) < _CHOLESKY_COND_BOUND:
+    if not r_norm * np.linalg.norm(low_inv) < _CHOLESKY_COND_BOUND:
         return None
-    w = a @ (np.sqrt(rows) * r_inv)
-    if not np.abs(w.T @ w / rows - np.eye(cols)).max() <= _CHOLESKY_ORTHO_ATOL:
+    # scale the inverse, not the product, as a @ (sqrt(rows) * inv(R)) did
+    low_inv *= np.sqrt(rows)
+    w = blas.times_lower_transposed(a, low_inv)
+    # max|W.T W / rows - I| in one cols x cols buffer
+    g = w.T @ w
+    g /= rows
+    g.flat[::cols + 1] -= 1.0
+    if not np.abs(g, out=g).max() <= _CHOLESKY_ORTHO_ATOL:
         return None
     return w
 

@@ -3,7 +3,9 @@ noise families, and observation masks (MCAR and data-dependent).
 
 Draw layout: every pair is generated from named substreams of one seed
 (design, directions, noise, mask_x, mask_y), so changing any one
-ingredient (e.g. mask rates) never perturbs the others.
+ingredient (e.g. mask rates) never perturbs the others.  draw_pair makes
+every draw that does not depend on the data, and generate_pair whitens,
+plants and masks them, so the draws can be made ahead of the assembly.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ _NEWTON_STEP_TOL = 1e-8
 # heteroskedastic noise: per-column variances drawn uniformly from this
 # range, which averages to 1 (unit variance in expectation)
 _HETEROSKEDASTIC_VARIANCES = (0.5, 1.5)
+# an MCAR mask is drawn and compared this many uniforms at a time, so no
+# view-sized float array is allocated
+_MASK_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,31 @@ class MaskedPair:
     @property
     def n_samples(self) -> int:
         return self.x_obs.shape[0]
+
+
+@dataclass
+class PairDraws:
+    """The random inputs of one pair that do not depend on its data.
+
+    design holds the raw Gaussian design, before whitening; u0 and v0
+    are the unit planted directions.  A mask is None where its mechanism
+    needs the data, and the pair then draws it.  generate_pair takes
+    each array out as it uses it, so the array is freed once its
+    consumer returns even while this object is still referenced.
+    """
+
+    design: np.ndarray | None
+    u0: np.ndarray
+    v0: np.ndarray
+    noise: np.ndarray | None
+    mask_x: np.ndarray | None
+    mask_y: np.ndarray | None
+
+    def take(self, name: str):
+        """The named draw, which this object then no longer holds."""
+        value = getattr(self, name)
+        setattr(self, name, None)
+        return value
 
 
 def sample_noise(spec: NoiseSpec, rows: int, cols: int, seed: int) -> np.ndarray:
@@ -258,6 +288,20 @@ def _mar_scores(spec: MaskSpec, data_context, rows: int, cols: int) -> np.ndarra
     return _standardize(np.abs(ctx).mean(axis=1))[:, None]
 
 
+def _mcar_mask(rng: np.random.Generator, rows: int, cols: int,
+               rate: float) -> np.ndarray:
+    """rng.random((rows, cols)) >= rate, bit for bit, drawn and compared
+    in chunks of _MASK_CHUNK uniforms."""
+    mask = np.empty((rows, cols), dtype=bool)
+    flat = mask.reshape(-1)
+    buf = np.empty(min(flat.size, _MASK_CHUNK))
+    for start in range(0, flat.size, _MASK_CHUNK):
+        chunk = buf[:min(_MASK_CHUNK, flat.size - start)]
+        rng.random(out=chunk)
+        np.greater_equal(chunk, rate, out=flat[start:start + chunk.size])
+    return mask
+
+
 def sample_mask(spec: MaskSpec, data_context, rows: int, cols: int,
                 seed: int) -> np.ndarray:
     """Boolean observation mask (True = observed).
@@ -271,18 +315,31 @@ def sample_mask(spec: MaskSpec, data_context, rows: int, cols: int,
         raise ValueError(f"mask shape must be positive, got {rows} x {cols}")
     if spec.target_rate == 0.0:
         return np.ones((rows, cols), dtype=bool)
-    uniforms = substream(seed, "mask").random((rows, cols))
+    rng = substream(seed, "mask")
     if spec.mechanism == "mcar" or spec.strength == 0.0:
         if spec.mechanism != "mcar":
             # context is still required so callers cannot silently treat a
             # data-dependent spec as context-free
             _mar_scores(spec, data_context, rows, cols)
-        return uniforms >= spec.target_rate
+        return _mcar_mask(rng, rows, cols, spec.target_rate)
     scores = _mar_scores(spec, data_context, rows, cols)
     intercept = _solve_intercept(scores, spec.strength, spec.target_rate)
     z = spec.strength * scores
     z += intercept
-    return uniforms >= _sigmoid(z, out=z)
+    return rng.random((rows, cols)) >= _sigmoid(z, out=z)
+
+
+def _view_specs(config: ModelConfig) -> tuple[MaskSpec, MaskSpec]:
+    """The mask specs the two views are drawn with.
+
+    Convention: the signal-linked mechanism censors the response view
+    only; a signal_dependent request on the design view falls back to
+    MCAR at its own rate.
+    """
+    spec_x = config.mask_x
+    if spec_x.mechanism == "signal_dependent":
+        spec_x = MaskSpec("mcar", spec_x.target_rate, 0.0)
+    return spec_x, config.mask_y
 
 
 def _view_context(spec: MaskSpec, own_latent: np.ndarray,
@@ -294,6 +351,40 @@ def _view_context(spec: MaskSpec, own_latent: np.ndarray,
     if spec.mechanism == "signal_dependent":
         return signal_scores
     return None
+
+
+def _plant(x_star: np.ndarray, u0: np.ndarray, v0: np.ndarray,
+           config: ModelConfig, noise: np.ndarray, sx: np.ndarray | None,
+           sy: np.ndarray | None) -> MaskedPair:
+    """Plant the signal in the whitened design x_star, add noise and mask
+    the views with the observation masks sx and sy, drawing either one
+    that is None."""
+    n, dx, dy = config.n_samples, config.dx, config.dy
+    signal_scores = x_star @ u0
+    # theta * outer + noise, bit for bit, without a second view-sized array
+    y_star = np.outer(signal_scores, v0)
+    y_star *= config.theta
+    y_star += noise
+    del noise  # callers pass the only reference, so it is freed here
+
+    spec_x, spec_y = _view_specs(config)
+    if sx is None:
+        sx = sample_mask(spec_x, _view_context(spec_x, x_star, y_star, None),
+                         n, dx, derive_seed(config.seed, "mask_x"))
+    if sy is None:
+        sy = sample_mask(spec_y, _view_context(spec_y, y_star, x_star, signal_scores),
+                         n, dy, derive_seed(config.seed, "mask_y"))
+    return MaskedPair(
+        x_obs=np.where(sx, x_star, 0.0),
+        y_obs=np.where(sy, y_star, 0.0),
+        mask_x=sx,
+        mask_y=sy,
+        u0=u0,
+        v0=v0,
+        rho=config.rho,
+        x_latent=x_star,
+        y_latent=y_star,
+    )
 
 
 def planted_pair(design, u0, v0, config: ModelConfig) -> MaskedPair:
@@ -315,47 +406,47 @@ def planted_pair(design, u0, v0, config: ModelConfig) -> MaskedPair:
     for name, vec in (("u0", u0), ("v0", v0)):
         if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
             raise ValueError(f"planted direction {name} must have unit norm")
-    signal_scores = x_star @ u0
-    y_star = (config.theta * np.outer(signal_scores, v0)
-              + sample_noise(config.noise, n, dy, config.seed))
-
-    # Convention: the signal-linked mechanism censors the response view
-    # only; a signal_dependent request on the design view falls back to
-    # MCAR at its own rate.
-    spec_x = config.mask_x
-    if spec_x.mechanism == "signal_dependent":
-        spec_x = MaskSpec("mcar", spec_x.target_rate, 0.0)
-    ctx_x = _view_context(spec_x, x_star, y_star, None)
-    ctx_y = _view_context(config.mask_y, y_star, x_star, signal_scores)
-    sx = sample_mask(spec_x, ctx_x, n, dx, derive_seed(config.seed, "mask_x"))
-    sy = sample_mask(config.mask_y, ctx_y, n, dy, derive_seed(config.seed, "mask_y"))
-    return MaskedPair(
-        x_obs=np.where(sx, x_star, 0.0),
-        y_obs=np.where(sy, y_star, 0.0),
-        mask_x=sx,
-        mask_y=sy,
-        u0=u0,
-        v0=v0,
-        rho=config.rho,
-        x_latent=x_star,
-        y_latent=y_star,
-    )
+    return _plant(x_star, u0, v0, config,
+                  sample_noise(config.noise, n, dy, config.seed), None, None)
 
 
-def generate_pair(config: ModelConfig) -> MaskedPair:
-    """Draw one masked two-view dataset from the generative model.
+def draw_pair(config: ModelConfig) -> PairDraws:
+    """Every random input of config's pair that does not depend on its data.
 
-    An exactly whitened Gaussian design and unit planted directions
-    drawn on the sphere, each from its own substream of config.seed,
-    handed to planted_pair.
+    The raw Gaussian design and the unit planted directions, drawn on the
+    sphere, each from its own substream of config.seed; the noise; and
+    each view's mask whose mechanism is MCAR, drawn without a context.
     """
-    rng_design = substream(config.seed, "design")
-    x_star = whiten(rng_design.standard_normal((config.n_samples, config.dx)))
+    n, dx, dy = config.n_samples, config.dx, config.dy
+    design = substream(config.seed, "design").standard_normal((n, dx))
     rng = substream(config.seed, "directions")
-    u0 = rng.standard_normal(config.dx)
-    v0 = rng.standard_normal(config.dy)
-    return planted_pair(x_star, u0 / np.linalg.norm(u0), v0 / np.linalg.norm(v0),
-                        config)
+    u0 = rng.standard_normal(dx)
+    v0 = rng.standard_normal(dy)
+    noise = sample_noise(config.noise, n, dy, config.seed)
+    # a data-dependent mask needs the pair, so the pair draws it
+    masks = [sample_mask(spec, None, n, d, derive_seed(config.seed, key))
+             if spec.mechanism == "mcar" else None
+             for spec, d, key in zip(_view_specs(config), (dx, dy),
+                                     ("mask_x", "mask_y"))]
+    return PairDraws(design=design, u0=u0 / np.linalg.norm(u0),
+                     v0=v0 / np.linalg.norm(v0), noise=noise,
+                     mask_x=masks[0], mask_y=masks[1])
+
+
+def generate_pair(config: ModelConfig,
+                  draws: PairDraws | None = None) -> MaskedPair:
+    """One masked two-view dataset from the generative model.
+
+    Whitens draws' design exactly, plants the signal along its
+    directions, adds its noise and masks both views.  draws must come
+    from draw_pair(config), which is called here when none are given;
+    the arrays are taken out of draws as they are used.
+    """
+    if draws is None:
+        draws = draw_pair(config)
+    x_star = whiten(draws.take("design"))
+    return _plant(x_star, draws.u0, draws.v0, config, draws.take("noise"),
+                  draws.take("mask_x"), draws.take("mask_y"))
 
 
 def prepare_semi_synthetic(x_real, y_real, target_dims: int):

@@ -2,14 +2,17 @@
 
 import dataclasses
 import math
+import os
 import resource
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from maskedpls import blas, harness
+from maskedpls import blas, harness, synth
 from maskedpls.estimators import EstimatorKind
 from maskedpls.harness import (
     Axis,
@@ -25,7 +28,8 @@ from maskedpls.harness import (
 )
 from maskedpls.presets import ConfigError, preset_config
 from maskedpls.streams import derive_seed
-from maskedpls.synth import MaskSpec, ModelConfig, generate_pair
+from maskedpls.synth import (MASK_MECHANISMS, NOISE_KINDS, MaskSpec, ModelConfig,
+                             generate_pair)
 from maskedpls.theory import critical_threshold
 
 
@@ -198,8 +202,9 @@ def test_serial_and_threaded_sweeps_agree():
 
 @pytest.fixture
 def blas_count():
-    """OpenBLAS's thread count, set to 4 for the test, so that a two-thread
-    sweep's share, 2, differs from both 1 and the count itself."""
+    """OpenBLAS's thread count, set to 4 for the test, so that the share of
+    a one- or two-thread sweep, 2, differs from both 1 and the count
+    itself."""
     before = blas.num_threads()
     if before is None:
         pytest.skip("numpy bundles no OpenBLAS")
@@ -208,7 +213,7 @@ def blas_count():
     blas.set_num_threads(before)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_sweep_runs_on_its_share_of_blas_threads(blas_count, threads):
     seen = []
 
@@ -218,7 +223,8 @@ def test_sweep_runs_on_its_share_of_blas_threads(blas_count, threads):
 
     spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
     result = run_sweep(spec, threads=threads, pair_factory=recording_factory)
-    share = max(1, blas_count // threads)
+    # a one-thread sweep leaves its draw helper a share, as two threads do
+    share = max(1, blas_count // max(threads, 2))
     assert seen == [share] * 6
     assert result.blas_threads == share
     assert blas.num_threads() == blas_count
@@ -243,6 +249,107 @@ def test_sweep_without_openblas_runs_unchanged(monkeypatch):
     without = run_sweep(spec, threads=2)
     assert without.blas_threads is None
     assert without.digest == with_blas.digest
+
+
+def test_one_and_two_thread_sweeps_agree_bit_for_bit(blas_count):
+    spec = SweepSpec(base=_base(n_samples=600, dx=120, dy=40),
+                     axis=Axis("theta", (1.0, 1.6)), trials=2, split_half=True)
+    one, two = run_sweep(spec, threads=1), run_sweep(spec, threads=2)
+    assert one.blas_threads == two.blas_threads == 2
+    assert one.digest == two.digest
+
+
+# ---------------------------------------------------------------------------
+# draws made one trial ahead
+
+
+def test_a_failing_draw_is_tagged_on_its_own_trial(monkeypatch):
+    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
+    bad_seed = derive_seed(derive_seed(spec.base.seed, "point", 1), "trial", 1)
+    noise = synth.sample_noise
+    drawn_on = set()
+
+    def failing_noise(noise_spec, rows, cols, seed):
+        drawn_on.add(threading.current_thread())
+        if seed == bad_seed:
+            raise RuntimeError("noise draw failed")
+        return noise(noise_spec, rows, cols, seed)
+
+    monkeypatch.setattr(synth, "sample_noise", failing_noise)
+    first, second = run_sweep(spec).points
+    assert threading.main_thread() not in drawn_on  # drawn by the helper
+    assert first.trials_effective == 3 and first.errors == ()
+    assert second.trials_effective == 2
+    assert second.errors == ("RuntimeError: noise draw failed",)
+
+
+def test_draws_run_at_most_one_trial_ahead(monkeypatch):
+    lock = threading.Lock()
+    finished = []
+    lead = []  # per draw: its index minus the trials finished when it began
+    draw, trial = harness.draw_pair, harness.run_trial
+
+    def recording_draw(config):
+        with lock:
+            lead.append(len(lead) - len(finished))
+        return draw(config)
+
+    def slow_trial(*args, **kwargs):
+        time.sleep(0.01)  # leaves the helper time to run further ahead
+        result = trial(*args, **kwargs)
+        with lock:
+            finished.append(result)
+        return result
+
+    monkeypatch.setattr(harness, "draw_pair", recording_draw)
+    monkeypatch.setattr(harness, "run_trial", slow_trial)
+    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=4)
+    result = run_sweep(spec)
+    assert len(lead) == 8 and max(lead) == 1
+    assert all(p.trials_effective == 4 for p in result.points)
+
+
+def test_a_custom_pair_factory_draws_in_its_trial(monkeypatch):
+    def no_draw_ahead(config):
+        raise AssertionError("a custom factory's trials draw for themselves")
+
+    monkeypatch.setattr(harness, "draw_pair", no_draw_ahead)
+    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=2)
+    result = run_sweep(spec, pair_factory=generate_pair)
+    assert all(p.trials_effective == 2 for p in result.points)
+
+
+_PIPELINE_CHILD = """
+import sys
+from maskedpls import harness
+from maskedpls.harness import Axis, SweepSpec, run_sweep
+from maskedpls.synth import (MASK_MECHANISMS, NOISE_KINDS, MaskSpec, ModelConfig,
+                             NoiseSpec)
+if sys.argv[1] == "in-trial":
+    # a draw ahead that returns nothing leaves generate_pair to draw in the trial
+    harness.draw_pair = lambda config: None
+for mechanism in MASK_MECHANISMS:
+    for kind in NOISE_KINDS:
+        base = ModelConfig(n_samples=240, dx=40, dy=24, theta=1.5,
+                           mask_x=MaskSpec(mechanism, 0.2, 0.8),
+                           mask_y=MaskSpec(mechanism, 0.3, 0.8),
+                           noise=NoiseSpec(kind), seed=0)
+        spec = SweepSpec(base=base, axis=Axis("theta", (1.0, 1.6)), trials=2)
+        print(mechanism, kind, run_sweep(spec).digest)
+"""
+
+
+def test_pipelined_digests_equal_in_trial_draws():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    outputs = []
+    for mode in ("pipelined", "in-trial"):
+        proc = subprocess.run([sys.executable, "-c", _PIPELINE_CHILD, mode],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == len(MASK_MECHANISMS) * len(NOISE_KINDS)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +435,8 @@ def test_malloc_thresholds_set_once_per_process(fresh_heap_policy, monkeypatch):
     run_sweep(spec)
     run_sweep(spec, threads=2)
     assert calls == [(harness._M_MMAP_THRESHOLD, 32 << 20),
-                     (harness._M_TRIM_THRESHOLD, 64 << 20)]
+                     (harness._M_TRIM_THRESHOLD, 64 << 20),
+                     (harness._M_ARENA_MAX, 1)]
 
 
 def test_stability_only_computed_when_requested():

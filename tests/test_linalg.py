@@ -96,6 +96,20 @@ def _count_qr_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def without_openblas(monkeypatch):
+    """blas as it is where numpy bundles no OpenBLAS: every routine
+    answers from numpy."""
+    cached = (blas._dtrtri, blas._dtrmm, blas._dsyevr)
+    for lookup in cached:
+        lookup.cache_clear()
+    monkeypatch.setattr(blas, "_library", lambda: None)
+    yield
+    # looked up again with the real library once the patch is undone
+    for lookup in cached:
+        lookup.cache_clear()
+
+
 @pytest.mark.parametrize("shape", [(1000, 200), (2000, 266)])
 def test_whiten_cholesky_path_matches_qr_reference(shape, monkeypatch):
     raw = substream(20, "whiten-chol", *shape).standard_normal(shape)
@@ -103,7 +117,79 @@ def test_whiten_cholesky_path_matches_qr_reference(shape, monkeypatch):
     qr_calls = _count_qr_calls(monkeypatch)
     out = whiten(raw)
     assert not qr_calls  # the Cholesky path was accepted
-    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.skipif(blas.config() is None, reason="numpy bundles no OpenBLAS")
+def test_bundled_openblas_exports_the_triangular_routines():
+    # without them whitening silently falls back to inv and a full product
+    assert blas._dtrtri() is not None
+    assert blas._dtrmm() is not None
+
+
+def test_whiten_without_triangular_routines_is_orthogonal(without_openblas,
+                                                           monkeypatch):
+    raw = substream(23, "whiten-numpy").standard_normal((1000, 200))
+    qr_calls = _count_qr_calls(monkeypatch)
+    out = whiten(raw)
+    assert not qr_calls
+    eps = np.finfo(np.float64).eps
+    assert np.abs(out.T @ out / 1000 - np.eye(200)).max() <= 64 * eps
+    np.testing.assert_allclose(out, _qr_reference(raw), rtol=0, atol=1e-13)
+
+
+def test_whiten_without_triangular_routines_keeps_the_fallbacks(
+        without_openblas, monkeypatch):
+    raw = substream(21, "whiten-ill").standard_normal((50, 10))
+    raw[:, 3] *= 1e7
+    qr_calls = _count_qr_calls(monkeypatch)
+    out = whiten(raw)
+    assert len(qr_calls) == 1
+    np.testing.assert_allclose(out.T @ out, 50.0 * np.eye(10), atol=1e-8)
+    with pytest.raises(ValueError, match="condition number"):
+        whiten(np.ones((6, 3)))
+
+
+def _lower(n: int, seed: int) -> np.ndarray:
+    low = np.tril(substream(seed, "lower").standard_normal((n, n)))
+    low[np.diag_indices(n)] = np.abs(np.diagonal(low)) + 1.0
+    return low
+
+
+@pytest.mark.parametrize("numpy_only", [False, True])
+def test_triangular_routines_match_numpy(numpy_only, request):
+    if numpy_only:
+        request.getfixturevalue("without_openblas")
+    low = _lower(40, seed=4)
+    a = substream(5, "times-lower").standard_normal((70, 40))
+    a_before = a.copy()
+    product = blas.times_lower_transposed(a, low)
+    np.testing.assert_array_equal(a, a_before)  # a is not modified
+    np.testing.assert_allclose(product, a @ low.T, rtol=0, atol=1e-12)
+    inverse = blas.lower_inverse(low.copy())
+    np.testing.assert_allclose(inverse @ low, np.eye(40), rtol=0, atol=1e-12)
+    if not numpy_only:
+        # dtrtri leaves the zeros above the diagonal as they are
+        assert not np.triu(inverse, 1).any()
+
+
+@pytest.mark.parametrize("numpy_only", [False, True])
+def test_lower_inverse_rejects_a_zero_pivot(numpy_only, request):
+    if numpy_only:
+        request.getfixturevalue("without_openblas")
+    low = _lower(6, seed=6)
+    low[2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        blas.lower_inverse(low)
+
+
+def test_triangular_routines_check_their_operands():
+    with pytest.raises(ValueError, match="square"):
+        blas.lower_inverse(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        blas.lower_inverse(np.asfortranarray(_lower(4, seed=7)))
+    with pytest.raises(ValueError, match="multiply"):
+        blas.times_lower_transposed(np.ones((5, 3)), _lower(4, seed=7))
 
 
 def test_whiten_ill_conditioned_falls_back_to_qr(monkeypatch):

@@ -16,6 +16,7 @@ from maskedpls.synth import (
     MaskSpec,
     ModelConfig,
     NoiseSpec,
+    draw_pair,
     generate_pair,
     planted_pair,
     prepare_semi_synthetic,
@@ -195,6 +196,20 @@ def test_zero_strength_reduces_to_mcar_bitwise():
                     1000, 200, seed=3)
     b = sample_mask(MaskSpec("mcar", 0.3, 0.0), None, 1000, 200, seed=3)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1),
+    (7, 13),                          # below one chunk
+    (128, synth._MASK_CHUNK // 128),  # exactly one chunk
+    (130, 259),                       # several chunks, the last one partial
+])
+def test_chunked_mcar_mask_is_the_whole_view_comparison(shape):
+    rows, cols = shape
+    want = substream(5, "mask").random((rows, cols)) >= 0.35
+    got = sample_mask(MaskSpec("mcar", 0.35), None, rows, cols, seed=5)
+    assert got.shape == shape and got.dtype == bool
+    np.testing.assert_array_equal(got, want)
 
 
 def test_data_dependent_mask_requires_context():
@@ -430,6 +445,42 @@ def test_signal_dependent_on_design_view_falls_back_to_mcar():
                        mask_y=MaskSpec("mcar", 0.4))
     pair = generate_pair(cfg)
     assert abs((1.0 - pair.mask_x.mean()) - 0.3) < 0.05
+    # the fallback mask is drawn ahead, as an MCAR one
+    np.testing.assert_array_equal(draw_pair(cfg).mask_x, pair.mask_x)
+
+
+@pytest.mark.parametrize("mechanism", MASK_MECHANISMS)
+def test_draw_pair_holds_exactly_the_data_free_draws(mechanism):
+    cfg = _desk_config(mask_x=MaskSpec(mechanism, 0.3, 0.8),
+                       mask_y=MaskSpec(mechanism, 0.4, 0.8))
+    draws = draw_pair(cfg)
+    assert draws.design.shape == (300, 40)
+    assert draws.noise.shape == (300, 25)
+    np.testing.assert_array_equal(
+        draws.noise, sample_noise(cfg.noise, 300, 25, cfg.seed))
+    for vec in (draws.u0, draws.v0):
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    # the design view's signal_dependent request falls back to MCAR
+    x_ahead = mechanism in ("mcar", "signal_dependent")
+    assert (draws.mask_x is not None) == x_ahead
+    assert (draws.mask_y is not None) == (mechanism == "mcar")
+
+
+@pytest.mark.parametrize("mechanism", MASK_MECHANISMS)
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_generate_pair_from_draws_made_ahead_is_bitwise_the_same(mechanism, kind):
+    cfg = _desk_config(mask_x=MaskSpec(mechanism, 0.3, 0.8),
+                       mask_y=MaskSpec(mechanism, 0.4, 0.8),
+                       noise=NoiseSpec(kind))
+    draws = draw_pair(cfg)
+    ahead = generate_pair(cfg, draws)
+    in_call = generate_pair(cfg)
+    for name in ("x_obs", "y_obs", "mask_x", "mask_y", "u0", "v0",
+                 "x_latent", "y_latent"):
+        np.testing.assert_array_equal(getattr(ahead, name), getattr(in_call, name))
+    # the assembly took every view-sized array out of the draws
+    assert draws.design is None and draws.noise is None
+    assert draws.mask_x is None and draws.mask_y is None
 
 
 # ---------------------------------------------------------------------------
