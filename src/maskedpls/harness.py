@@ -23,7 +23,7 @@ import ctypes
 import dataclasses
 import functools
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Callable, Mapping, Sequence
@@ -33,7 +33,7 @@ import numpy as np
 from . import blas
 from .estimators import EstimatorKind, estimate, split_half_stability
 from .streams import derive_seed
-from .synth import MaskedPair, ModelConfig, PairDraws, draw_pair, generate_pair
+from .synth import MaskedPair, ModelConfig, draw_pair, generate_pair
 from .theory import critical_threshold, predict
 
 AXIS_NAMES = ("theta", "theta_over_crit", "m_x", "m_y", "m_joint", "rho",
@@ -184,42 +184,34 @@ def grid_assignments(spec: SweepSpec) -> list[dict[str, float]]:
             for v1 in spec.axis.values for v2 in spec.axis2.values]
 
 
-def _trial_config(config: ModelConfig, trial_index: int) -> ModelConfig:
-    return dataclasses.replace(
-        config, seed=derive_seed(config.seed, "trial", trial_index))
-
-
 def run_trial(config: ModelConfig, estimator: EstimatorKind,
-              split_half: bool, trial_index: int,
-              pair_factory: PairFactory | None = None,
-              draws: Future[PairDraws] | None = None) -> TrialResult:
-    """One independent draw and fit.  Failures are tagged, not raised.
+              split_half: bool,
+              pair_factory: PairFactory | None = None) -> TrialResult:
+    """One independent draw and fit of the trial's own config.  Failures
+    are tagged, not raised.
 
-    draws, if given, is a future of ``draw_pair`` for this trial's
-    config, made ahead of the trial; it is resolved inside the trial, so
-    a draw that failed is tagged on it.
+    The pair is ``pair_factory(config)``, or ``generate_pair(config)``
+    when none is given; it is made inside the trial, so a pair source
+    that fails, a draw made ahead of the trial included, is tagged on it.
     """
-    trial_config = _trial_config(config, trial_index)
-    trial_seed = trial_config.seed
     t0 = time.perf_counter()
     try:
-        if pair_factory is not None:
-            pair = pair_factory(trial_config)
+        if pair_factory is None:
+            pair = generate_pair(config)
         else:
-            pair = generate_pair(trial_config,
-                                 None if draws is None else draws.result())
+            pair = pair_factory(config)
         fit = estimate(pair, estimator)
         if split_half:
-            stability = split_half_stability(pair, trial_seed)
+            stability = split_half_stability(pair, config.seed)
         else:
             stability = float("nan")
         return TrialResult(r2_x=fit.r2_x, r2_y=fit.r2_y, stability=stability,
-                           runtime=time.perf_counter() - t0, seed=trial_seed,
+                           runtime=time.perf_counter() - t0, seed=config.seed,
                            iterations=fit.iterations)
     except Exception as err:  # noqa: BLE001 - trial isolation is the contract
         return TrialResult(r2_x=float("nan"), r2_y=float("nan"),
                            stability=float("nan"),
-                           runtime=time.perf_counter() - t0, seed=trial_seed,
+                           runtime=time.perf_counter() - t0, seed=config.seed,
                            iterations=0, error=f"{type(err).__name__}: {err}")
 
 
@@ -357,10 +349,13 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
     """Run every trial of ``spec`` on ``threads`` worker threads and
     aggregate them into points.
 
-    On one worker thread a helper thread makes each trial's draws
-    (``draw_pair``) while the trial before it runs, never more than one
-    trial ahead; a custom ``pair_factory`` makes its own draws in its
-    trial.  On more worker threads each trial makes its own draws.
+    Trial t of a point runs on the point's config with the seed
+    ``derive_seed(point_seed, "trial", t)``, derived once per trial.  On
+    one worker thread a helper thread makes each trial's draws
+    (``draw_pair`` of that config) while the trial before it runs, never
+    more than one trial ahead; a custom ``pair_factory`` makes its own
+    draws in its trial.  On more worker threads each trial makes its own
+    draws.
 
     The workers share OpenBLAS's threads: for the whole sweep OpenBLAS
     runs ``max(1, n // max(threads, 2))`` threads, where n is its count
@@ -388,36 +383,39 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
         _resolved_config(spec.base, a, derive_seed(spec.base.seed, "point", i))
         for i, a in enumerate(assignments)
     ]
-    jobs = [(i, t) for i in range(len(configs)) for t in range(spec.trials)]
+    trial_configs = [
+        dataclasses.replace(c, seed=derive_seed(c.seed, "trial", t))
+        for c in configs for t in range(spec.trials)]
 
-    def _job(key, draws=None):
-        i, t = key
-        return run_trial(configs[i], spec.estimator, spec.split_half, t,
-                         pair_factory=pair_factory, draws=draws)
+    def _trial(config, source=pair_factory):
+        return run_trial(config, spec.estimator, spec.split_half, source)
 
-    def _draw_ahead(helper, k):
-        if pair_factory is not None or k == len(jobs):
-            return None
-        i, t = jobs[k]
-        return helper.submit(draw_pair, _trial_config(configs[i], t))
+    def _source_ahead(helper, k):
+        # trial k's pair source: a custom factory, or the draws that the
+        # helper starts now, assembled in the trial
+        if pair_factory is not None or k == len(trial_configs):
+            return pair_factory
+        draws = helper.submit(draw_pair, trial_configs[k])
+        return lambda config: generate_pair(config, draws.result())
 
     ambient = blas.num_threads()
     budget = None if ambient is None else max(1, ambient // max(threads, 2))
     try:
         if budget is not None:
             blas.set_num_threads(budget)
-        # pool.map keeps job order, so each point's trials are one contiguous slice
+        # both branches keep trial order, so each point's trials are one
+        # contiguous slice
         if threads == 1:
             trials = []
             with ThreadPoolExecutor(max_workers=1) as helper:
-                ahead = _draw_ahead(helper, 0)
-                for k, key in enumerate(jobs):
+                ahead = _source_ahead(helper, 0)
+                for k, config in enumerate(trial_configs):
                     # trial k+1's draws start as trial k starts
-                    draws, ahead = ahead, _draw_ahead(helper, k + 1)
-                    trials.append(_job(key, draws))
+                    source, ahead = ahead, _source_ahead(helper, k + 1)
+                    trials.append(_trial(config, source))
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                trials = list(pool.map(_job, jobs))
+                trials = list(pool.map(_trial, trial_configs))
         points = tuple(
             _summarize_point(assignments[i], spec, configs[i],
                              trials[i * spec.trials:(i + 1) * spec.trials])

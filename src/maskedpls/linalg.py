@@ -7,6 +7,7 @@ same input return bitwise-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +157,16 @@ def top_singular_pair(m) -> SingularTriple:
                               converged=True)
 
     # iterate on the smaller of the two Gram matrices, tᵀt, where t is a
-    # or its transpose, whichever is tall
+    # or its transpose, whichever is tall, scaled by the power of two that
+    # puts its largest magnitude in [0.5, 1), so that the Gram matrix
+    # neither under- nor overflows; the scaling is exact, and the value
+    # is scaled back at the end
     tall = cols <= rows
-    t = a if tall else a.T
+    exponent = int(np.frexp(np.abs(a).max())[1])
+    t = np.ldexp(a if tall else a.T, -exponent)
     b = t.T @ t
     dim = b.shape[0]
-    rng = substream(_START_KEY, "power-start", dim)
-    x = rng.standard_normal(dim)
+    x = substream(_START_KEY, "power-start", dim).standard_normal(dim)
     x /= np.linalg.norm(x)
 
     lam_prev = np.inf
@@ -171,22 +175,16 @@ def top_singular_pair(m) -> SingularTriple:
         y = b @ x
         lam = float(x @ y)
         # numpy's own formula for the 2-norm of a real vector, bit for bit
-        ny = np.sqrt(y @ y)
-        if ny == 0.0:
-            # start vector fell in the null space; try a fresh one
-            x = rng.standard_normal(dim)
-            x /= np.linalg.norm(x)
-            lam_prev = np.inf
-            continue
-        x = y / ny
+        x = y / np.sqrt(y @ y)
         if abs(lam - lam_prev) <= _POWER_TOL * max(abs(lam), _TINY):
             converged = True
             break
         lam_prev = lam
 
     other_raw = t @ x
-    value = float(np.linalg.norm(other_raw))
-    other = other_raw / value
+    norm = np.linalg.norm(other_raw)
+    other = other_raw / norm
+    value = math.ldexp(float(norm), exponent)
     left, right = (other, x) if tall else (x, other)
     left, right = _canonical_signs(left, right)
     return SingularTriple(left=left, right=right, value=value,

@@ -31,6 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .harness import PointSummary, SweepResult, result_digest
+from .linalg import _as_matrix
 
 MATRIX_MAGIC = b"MXF1"
 _ENCODING_FLOAT64 = 0x01
@@ -62,19 +63,8 @@ def _atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-def _checked_matrix(matrix) -> np.ndarray:
-    arr = np.ascontiguousarray(matrix, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("matrix must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
-    return arr
-
-
 def write_matrix(path, matrix, fmt: str = "binary") -> None:
-    arr = _checked_matrix(matrix)
+    arr = np.ascontiguousarray(_as_matrix(matrix, "write_matrix"))
     rows, cols = arr.shape
     if fmt == "binary":
         header = MATRIX_MAGIC + _HEADER.pack(rows, cols, _ENCODING_FLOAT64)

@@ -117,9 +117,7 @@ class _Overrides:
                 f"unknown override keys for {self._preset}: {sorted(self._data)}")
 
 
-def _exp1(scale: str, ov: _Overrides) -> list[RunItem]:
-    paper = scale == "paper"
-    seed = ov.take_int("seed", 0, minimum=0)
+def _exp1(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     trials = ov.take_int("trials", 100 if paper else 30)
     points = ov.take_int("theta_points", 25 if paper else 15, minimum=2)
     base = ModelConfig(n_samples=1000, dx=200, dy=50, theta=1.0,
@@ -130,9 +128,7 @@ def _exp1(scale: str, ov: _Overrides) -> list[RunItem]:
     return [RunItem("transition", spec)]
 
 
-def _exp2(scale: str, ov: _Overrides) -> list[RunItem]:
-    paper = scale == "paper"
-    seed = ov.take_int("seed", 0, minimum=0)
+def _exp2(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     trials = ov.take_int("trials", 30 if paper else 10)
     grid = ov.take_int("theta_points", 30 if paper else 15, minimum=2)
     base = ModelConfig(n_samples=1000, dx=150, dy=120, theta=1.0, seed=seed)
@@ -143,9 +139,7 @@ def _exp2(scale: str, ov: _Overrides) -> list[RunItem]:
     return [RunItem("phase_diagram", spec)]
 
 
-def _exp3(scale: str, ov: _Overrides) -> list[RunItem]:
-    paper = scale == "paper"
-    seed = ov.take_int("seed", 0, minimum=0)
+def _exp3(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     trials = ov.take_int("trials", 30 if paper else 20)
     points = ov.take_int("theta_points", 11 if paper else 13, minimum=3)
     n_list = (100, 250, 500, 1000, 2000, 5000) if paper else (100, 500, 2000)
@@ -168,9 +162,7 @@ def _exp3(scale: str, ov: _Overrides) -> list[RunItem]:
     return items
 
 
-def _exp4(scale: str, ov: _Overrides) -> list[RunItem]:
-    paper = scale == "paper"
-    seed = ov.take_int("seed", 0, minimum=0)
+def _exp4(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     # the boundary extractor reads noisy near-floor means, so the desk
     # scale keeps the full trial count instead of shrinking it
     trials = ov.take_int("trials", 30)
@@ -186,9 +178,7 @@ def _exp4(scale: str, ov: _Overrides) -> list[RunItem]:
     return items
 
 
-def _exp5(scale: str, ov: _Overrides) -> list[RunItem]:
-    paper = scale == "paper"
-    seed = ov.take_int("seed", 0, minimum=0)
+def _exp5(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     trials = ov.take_int("trials", 500 if paper else 20)
     points = ov.take_int("theta_points", 20 if paper else 10, minimum=2)
     target_dims = ov.take_int("target_dims", 20, minimum=2)
@@ -232,9 +222,7 @@ def _exp5(scale: str, ov: _Overrides) -> list[RunItem]:
     ]
 
 
-def _exp6(scale: str, ov: _Overrides) -> list[RunItem]:
-    paper = scale == "paper"
-    seed = ov.take_int("seed", 0, minimum=0)
+def _exp6(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     trials = ov.take_int("trials", 25 if paper else 15)
     points = ov.take_int("theta_points", 60 if paper else 20, minimum=2)
     base = ModelConfig(n_samples=2000, dx=266, dy=266, theta=1.0,
@@ -255,9 +243,7 @@ _B1_KINDS = (
 )
 
 
-def _b1(scale: str, ov: _Overrides) -> list[RunItem]:
-    paper = scale == "paper"
-    seed = ov.take_int("seed", 0, minimum=0)
+def _b1(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     trials = ov.take_int("trials", 100 if paper else 50)
     points = ov.take_int("theta_points", 20 if paper else 12, minimum=2)
     axis = Axis("theta_over_crit", _linspace(0.5, 2.5, points))
@@ -270,9 +256,7 @@ def _b1(scale: str, ov: _Overrides) -> list[RunItem]:
     return items
 
 
-def _b2(scale: str, ov: _Overrides) -> list[RunItem]:
-    paper = scale == "paper"
-    seed = ov.take_int("seed", 0, minimum=0)
+def _b2(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     trials = ov.take_int("trials", 100 if paper else 20)
     points = ov.take_int("theta_points", 20 if paper else 10, minimum=2)
     axis = Axis("theta_over_crit", _linspace(0.5, 2.5, points))
@@ -293,9 +277,7 @@ def _b2(scale: str, ov: _Overrides) -> list[RunItem]:
     return items
 
 
-def _b3(scale: str, ov: _Overrides) -> list[RunItem]:
-    paper = scale == "paper"
-    seed = ov.take_int("seed", 0, minimum=0)
+def _b3(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     # 50 trials at both scales: the baseline comparison needs the
     # standard-error resolution regardless of scale
     trials = ov.take_int("trials", 50)
@@ -311,7 +293,9 @@ def _b3(scale: str, ov: _Overrides) -> list[RunItem]:
     return items
 
 
-_BUILDERS: dict[str, Callable[[str, _Overrides], list[RunItem]]] = {
+# each builder takes whether the scale is paper, the preset seed and the
+# remaining overrides
+_BUILDERS: dict[str, Callable[[bool, int, _Overrides], list[RunItem]]] = {
     "exp1_transition": _exp1,
     "exp2_phase_diagram": _exp2,
     "exp3_finite_size": _exp3,
@@ -332,7 +316,8 @@ def preset_config(name: str, scale: str = "desk",
         raise ConfigError(f"unknown scale {scale!r}, expected one of {SCALES}")
     ov = _Overrides(overrides, name)
     with _as_config_error():
-        items = _BUILDERS[name](scale, ov)
+        seed = ov.take_int("seed", 0, minimum=0)
+        items = _BUILDERS[name](scale == "paper", seed, ov)
     ov.finish()
     echo = {
         "preset": name,

@@ -99,6 +99,8 @@ class ModelConfig:
                 f"whitening needs n_samples >= dx, got {self.n_samples} < {self.dx}")
         if not self.theta >= 0:
             raise ValueError(f"theta must be non-negative, got {self.theta}")
+        if not self.theta < np.inf:
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 

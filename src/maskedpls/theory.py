@@ -33,8 +33,15 @@ class TheoryPrediction:
 
 
 def _check_aspects(alpha_x: float, alpha_y: float):
-    if not (alpha_x > 0 and alpha_y > 0):
-        raise ValueError(f"aspect ratios must be positive, got {alpha_x}, {alpha_y}")
+    # negated comparisons, so that NaN also fails
+    if not (0 < alpha_x < np.inf and 0 < alpha_y < np.inf):
+        raise ValueError(
+            f"aspect ratios must be positive and finite, got {alpha_x}, {alpha_y}")
+
+
+def _check_spike(theta: float, name: str = "theta"):
+    if not 0 <= theta < np.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {theta}")
 
 
 def _check_rho(rho: float):
@@ -51,8 +58,7 @@ def critical_threshold(alpha_x: float, alpha_y: float, rho: float) -> float:
 
 def effective_spike(theta: float, rho: float) -> float:
     """Signal strength after masking attenuation, sqrt(rho) * theta."""
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
+    _check_spike(theta)
     _check_rho(rho)
     return float(np.sqrt(rho) * theta)
 
@@ -65,8 +71,7 @@ def is_supercritical(alpha_x: float, alpha_y: float, rho: float, theta: float) -
     """
     _check_aspects(alpha_x, alpha_y)
     _check_rho(rho)
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
+    _check_spike(theta)
     return theta > critical_threshold(alpha_x, alpha_y, rho)
 
 
@@ -111,8 +116,7 @@ def variational_objective(r_u: float, r_v: float, alpha_x: float, alpha_y: float
     _check_aspects(alpha_x, alpha_y)
     _check_unit_interval(r_u, "r_u")
     _check_unit_interval(r_v, "r_v")
-    if theta_eff < 0:
-        raise ValueError(f"theta_eff must be non-negative, got {theta_eff}")
+    _check_spike(theta_eff, "theta_eff")
     return float(
         np.sqrt(1.0 - r_u**2) / np.sqrt(alpha_x)
         + np.sqrt(1.0 - r_v**2) / np.sqrt(alpha_y)
@@ -130,8 +134,7 @@ def stationarity_residual(r_u: float, r_v: float, alpha_x: float, alpha_y: float
     _check_aspects(alpha_x, alpha_y)
     _check_unit_interval(r_u, "r_u")
     _check_unit_interval(r_v, "r_v")
-    if theta_eff < 0:
-        raise ValueError(f"theta_eff must be non-negative, got {theta_eff}")
+    _check_spike(theta_eff, "theta_eff")
     if r_u == 1.0 or r_v == 1.0:
         raise ValueError("stationarity residual is undefined at r = 1")
     res_u = theta_eff * r_v - r_u / (np.sqrt(alpha_x) * np.sqrt(1.0 - r_u**2))
@@ -170,8 +173,7 @@ def maximize_objective_grid(alpha_x: float, alpha_y: float, theta_eff: float,
     value there.  Resolution is 1 / (grid_points - 1) per coordinate.
     """
     _check_aspects(alpha_x, alpha_y)
-    if theta_eff < 0:
-        raise ValueError(f"theta_eff must be non-negative, got {theta_eff}")
+    _check_spike(theta_eff, "theta_eff")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     r = np.linspace(0.0, 1.0, grid_points)

@@ -67,6 +67,20 @@ def test_theory_rejects_bad_geometry(capsys):
     assert code == EXIT_RUNTIME
 
 
+
+@pytest.mark.parametrize("args", [
+    ["--alpha-x", "5", "--alpha-y", "20", "--theta", "nan"],
+    ["--alpha-x", "5", "--alpha-y", "20", "--theta", "inf"],
+    ["--alpha-x", "inf", "--alpha-y", "inf"],
+    ["--alpha-x", "nan", "--alpha-y", "20"],
+])
+def test_theory_rejects_non_finite_inputs(capsys, args):
+    assert main(["theory", *args]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # null-scale
 
@@ -289,6 +303,18 @@ def test_run_rejects_bad_axis_values_before_running(tmp_path, capsys, axis, mess
     cfg.write_text(json.dumps({"sweep": {**SMALL_SWEEP["sweep"], "axis": axis}}))
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     assert f"configuration error: sweep: {message}" in capsys.readouterr().err
+
+
+def test_run_rejects_infinite_theta_in_sweep_document(tmp_path, capsys):
+    # Python's json reads the non-standard literal Infinity as a float
+    cfg = tmp_path / "inf.json"
+    text = json.dumps(SMALL_SWEEP).replace('"theta": 1.0', '"theta": Infinity')
+    assert "Infinity" in text
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error: sweep.base: theta must be finite, got inf" in captured.err
+    assert "variant=" not in captured.out
 
 
 def test_run_rejects_non_integer_override(capsys):

@@ -1,6 +1,7 @@
 """Tests for the sweep harness: axis resolution, aggregation, reproducibility."""
 
 import dataclasses
+import importlib.util
 import math
 import os
 import resource
@@ -39,6 +40,11 @@ def _base(**overrides) -> ModelConfig:
                   seed=0)
     fields.update(overrides)
     return ModelConfig(**fields)
+
+
+def _trial(config: ModelConfig, t: int) -> ModelConfig:
+    """Trial t's config of the point whose config is ``config``."""
+    return dataclasses.replace(config, seed=derive_seed(config.seed, "trial", t))
 
 
 def _point(**overrides) -> PointSummary:
@@ -158,8 +164,8 @@ def test_single_trial_sweep_matches_run_trial():
     spec = SweepSpec(base=base, axis=Axis("theta", (1.5,)), trials=1)
     result = run_sweep(spec)
     point_seed = derive_seed(base.seed, "point", 0)
-    direct = run_trial(dataclasses.replace(base, seed=point_seed),
-                       EstimatorKind(), False, 0)
+    direct = run_trial(_trial(dataclasses.replace(base, seed=point_seed), 0),
+                       EstimatorKind(), False)
     p = result.points[0]
     assert p.mean_r2x == direct.r2_x
     assert p.mean_r2y == direct.r2_y
@@ -175,7 +181,7 @@ def test_aggregation_matches_reference_loop():
         point_seed = derive_seed(base.seed, "point", i)
         cfg = dataclasses.replace(base, theta=spec.axis.values[i],
                                   seed=point_seed)
-        vals = [run_trial(cfg, EstimatorKind(), False, t).r2_x
+        vals = [run_trial(_trial(cfg, t), EstimatorKind(), False).r2_x
                 for t in range(5)]
         assert p.mean_r2x == pytest.approx(np.mean(vals), abs=1e-12)
         assert p.std_r2x == pytest.approx(np.std(vals, ddof=1), abs=1e-12)
@@ -353,6 +359,65 @@ def test_pipelined_digests_equal_in_trial_draws():
 
 
 # ---------------------------------------------------------------------------
+# seed derivation and the traced trial path
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_trial_config_is_derived_once(monkeypatch, threads):
+    labels = []
+    derive = harness.derive_seed
+
+    def recording_derive(seed, *path):
+        labels.append(path[0])
+        return derive(seed, *path)
+
+    monkeypatch.setattr(harness, "derive_seed", recording_derive)
+    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
+    result = run_sweep(spec, threads=threads)
+    assert all(p.trials_effective == 3 for p in result.points)
+    assert labels.count("trial") == 6
+    assert labels.count("point") == 2
+
+
+def _perfbench_tracing(monkeypatch):
+    """perfbench/tracing.py, imported for the test only."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    module_spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(module_spec)
+    # its dataclasses look their module up while they are defined
+    monkeypatch.setitem(sys.modules, module_spec.name, module)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_one_thread_unit_sees_every_layer_it_calls(tmp_path, monkeypatch):
+    # the benchmark's tracer replaces module attributes, so a layer that
+    # the trial path binds before the sweep starts would read zero there
+    import maskedpls
+
+    tracing = _perfbench_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    with tracer.installed(maskedpls):
+        resolved = maskedpls.presets.preset_config(
+            "exp1_transition", "desk", {"trials": 2, "theta_points": 2})
+        for item in resolved.items:
+            result = maskedpls.harness.run_sweep(item.spec, threads=1,
+                                                 pair_factory=item.pair_factory)
+            maskedpls.matio.emit_results(result, str(tmp_path / "out.json"),
+                                         fmt="json", metadata={})
+    seen = {s.name for s in tracer.spans}
+    # exp1 computes no split-half stability
+    split_half = {"estimators.split_half_stability"}
+    expected = {name for _, _, name in tracing.WRAPPED} - split_half
+    assert expected <= seen, sorted(expected - seen)
+    assert sum(s.name == "harness.run_trial" for s in tracer.spans) == 4
+    pairs = [s for s in tracer.spans if s.name == "synth.generate_pair"]
+    assert len(pairs) == 4
+    assert all(s.trial is not None for s in pairs)
+
+
+# ---------------------------------------------------------------------------
 # malloc thresholds
 
 
@@ -465,7 +530,7 @@ def test_mean_iterations_averages_successful_trials():
                      estimator=kind)
     p = run_sweep(spec, pair_factory=flaky_factory).points[0]
     cfg = dataclasses.replace(base, seed=derive_seed(base.seed, "point", 0))
-    direct = [run_trial(cfg, kind, False, t).iterations for t in (0, 2)]
+    direct = [run_trial(_trial(cfg, t), kind, False).iterations for t in (0, 2)]
     assert min(direct) > 1
     assert p.trials_effective == 2
     assert p.mean_iterations == np.mean(direct)
@@ -509,7 +574,7 @@ def test_point_with_mostly_failed_trials_marked_invalid():
 
 def test_run_trial_reports_seed_derivation():
     base = _base()
-    trial = run_trial(base, EstimatorKind(), False, 7)
+    trial = run_trial(_trial(base, 7), EstimatorKind(), False)
     assert trial.seed == derive_seed(base.seed, "trial", 7)
     assert trial.error is None
 

@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra kernels."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -264,6 +265,30 @@ def test_top_pair_power_iteration_path(shape):
     assert triple.value == pytest.approx(s_ref[0], rel=1e-9)
     assert abs(float(triple.left @ u_ref[:, 0])) > 1 - 1e-8
     assert abs(float(triple.right @ vt_ref[0])) > 1 - 1e-8
+
+
+@pytest.mark.parametrize("magnitude", [1e-170, 1e-160, 1e160])
+def test_top_pair_power_iteration_at_extreme_magnitudes(magnitude):
+    # unscaled, the Gram matrix of these inputs under- or overflows
+    m = np.full((40, 40), magnitude)
+    m[0, 0] *= 2
+    triple = top_singular_pair(m)
+    u_ref, s_ref, vt_ref = np.linalg.svd(m)
+    assert triple.converged
+    assert triple.value == pytest.approx(s_ref[0], rel=1e-12, abs=0.0)
+    assert abs(float(triple.left @ u_ref[:, 0])) > 1 - 1e-12
+    assert abs(float(triple.right @ vt_ref[0])) > 1 - 1e-12
+
+
+@pytest.mark.parametrize("shape", [(120, 40), (40, 120)], ids=["tall", "wide"])
+def test_top_pair_power_iteration_is_exact_under_power_of_two_scaling(shape):
+    m = substream(11, "svd-power").standard_normal(shape)
+    base = top_singular_pair(m)
+    for k in (-600, -3, 5, 600):
+        scaled = top_singular_pair(np.ldexp(m, k))
+        assert scaled.value == math.ldexp(base.value, k)
+        np.testing.assert_array_equal(scaled.left, base.left)
+        np.testing.assert_array_equal(scaled.right, base.right)
 
 
 def test_top_pair_unit_norms():

@@ -66,6 +66,10 @@ def test_model_config_validation():
         _desk_config(n_samples=30)
     with pytest.raises(ValueError, match="theta"):
         _desk_config(theta=-0.5)
+    with pytest.raises(ValueError, match="theta must be non-negative, got nan"):
+        _desk_config(theta=float("nan"))
+    with pytest.raises(ValueError, match="theta must be finite, got inf"):
+        _desk_config(theta=float("inf"))
     with pytest.raises(ValueError, match="positive integer"):
         ModelConfig(n_samples=0, dx=1, dy=1, theta=1.0)
 

@@ -64,6 +64,22 @@ def test_threshold_rejects_bad_inputs():
         critical_threshold(1.0, 1.0, 1.2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_theory_rejects_non_finite_inputs(bad):
+    with pytest.raises(ValueError, match="aspect ratios"):
+        critical_threshold(bad, 20.0, 0.5)
+    with pytest.raises(ValueError, match="aspect ratios"):
+        predict(5.0, bad, 0.5, 1.0)
+    with pytest.raises(ValueError, match="theta must be non-negative and finite"):
+        effective_spike(bad, 0.5)
+    with pytest.raises(ValueError, match="theta must be non-negative and finite"):
+        is_supercritical(5.0, 20.0, 0.5, bad)
+    with pytest.raises(ValueError, match="theta must be non-negative and finite"):
+        predict(5.0, 20.0, 0.5, bad)
+    with pytest.raises(ValueError, match="theta_eff must be non-negative and finite"):
+        variational_objective(0.5, 0.5, 5.0, 20.0, bad)
+
+
 def test_effective_spike_values():
     assert effective_spike(2.0, 0.25) == pytest.approx(1.0, abs=1e-15)
     assert effective_spike(1.0, 0.42) == pytest.approx(0.648074069840786, abs=1e-15)
