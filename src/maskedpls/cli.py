@@ -143,6 +143,9 @@ def _cmd_run(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     resolved = _resolve_run_config(args)
+    out_dir = os.path.dirname(args.out or "") or "."
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"--out directory {out_dir!r} does not exist")
     print(json.dumps(resolved.echo, indent=2, sort_keys=True))
     print()
     preset_name = resolved.echo.get("preset")

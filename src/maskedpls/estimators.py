@@ -9,6 +9,7 @@ completion, and an oracle that sees the unmasked data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,20 +24,18 @@ _TINY = np.finfo(np.float64).tiny
 
 @dataclass(frozen=True)
 class EstimatorKind:
-    """Which estimator to run, with loop controls for the iterative ones."""
+    """Which estimator to run; the iterative ones stop after ``max_iter``
+    refits (per view for ``iterative_svd``) or at a relative change of
+    at most ``tol``."""
 
     name: str = "pls_svd_zero"
-    max_iter: int = 50
-    tol: float = 1e-6
+    max_iter: ClassVar[int] = 50
+    tol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.name not in ESTIMATOR_NAMES:
             raise ValueError(
                 f"unknown estimator {self.name!r}, expected one of {ESTIMATOR_NAMES}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)

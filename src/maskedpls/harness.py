@@ -475,10 +475,9 @@ def _crossing_theta(thetas: Sequence[float], fitted: Sequence[float],
     return float("nan")
 
 
-def empirical_boundary(points: Sequence[PointSummary],
-                       threshold: float | None = None) -> float:
+def empirical_boundary(points: Sequence[PointSummary]) -> float:
     """Smallest spike strength along a theta-ordered sweep whose mean
-    design-side overlap rises above the noise floor (3 / dx by default).
+    design-side overlap rises above the noise floor 3 / dx.
 
     The crossing is located on an isotonic fit of the means with linear
     interpolation between grid points, so boundaries finer than the grid
@@ -487,24 +486,20 @@ def empirical_boundary(points: Sequence[PointSummary],
     pts = _sorted_theta_points(points)
     if not pts:
         return float("nan")
-    thr = threshold if threshold is not None else 3.0 / pts[0].dx
     fitted = _isotonic_fit([p.mean_r2x for p in pts])
-    return _crossing_theta([p.theta for p in pts], fitted, thr, strict=True)
+    return _crossing_theta([p.theta for p in pts], fitted, 3.0 / pts[0].dx,
+                           strict=True)
 
 
-def transition_width(points: Sequence[PointSummary],
-                     quantiles: tuple[float, float] = (0.25, 0.75)) -> float:
-    """Theta distance between the lower- and upper-quantile crossings of
-    the window's peak overlap.
+def transition_width(points: Sequence[PointSummary]) -> float:
+    """Theta distance between the crossings of 25% and 75% of the
+    window's peak overlap.
 
     Crossings are read off an isotonic fit of the means, interpolated
     between grid points.  When the curve enters the window already above
     the lower level the lower crossing clips to the window edge, so the
     result is then a lower bound on the true width.
     """
-    lo_q, hi_q = quantiles
-    if not 0.0 < lo_q < hi_q < 1.0:
-        raise ValueError(f"quantiles must satisfy 0 < lo < hi < 1, got {quantiles}")
     pts = _sorted_theta_points(points)
     if len(pts) < 2:
         return float("nan")
@@ -513,6 +508,6 @@ def transition_width(points: Sequence[PointSummary],
     if peak <= 0:
         return float("nan")
     thetas = [p.theta for p in pts]
-    t_lo = _crossing_theta(thetas, fitted, lo_q * peak, strict=False)
-    t_hi = _crossing_theta(thetas, fitted, hi_q * peak, strict=False)
+    t_lo = _crossing_theta(thetas, fitted, 0.25 * peak, strict=False)
+    t_hi = _crossing_theta(thetas, fitted, 0.75 * peak, strict=False)
     return max(0.0, t_hi - t_lo)

@@ -117,20 +117,30 @@ class _Overrides:
                 f"unknown override keys for {self._preset}: {sorted(self._data)}")
 
 
+def _take_sizes(ov: _Overrides, paper: bool, trials: tuple[int, int],
+                points: tuple[int, int], min_points: int = 2) -> tuple[int, int]:
+    """The ``trials`` and ``theta_points`` overrides, in that order, each
+    defaulting to its (paper, desk) value."""
+    return (ov.take_int("trials", trials[0] if paper else trials[1]),
+            ov.take_int("theta_points", points[0] if paper else points[1],
+                        minimum=min_points))
+
+
+def _relative_axis(points: int, lo: float = 0.5, hi: float = 2.5) -> Axis:
+    """``points`` spike strengths over [lo, hi] times the critical one."""
+    return Axis("theta_over_crit", _linspace(lo, hi, points))
+
+
 def _exp1(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
-    trials = ov.take_int("trials", 100 if paper else 30)
-    points = ov.take_int("theta_points", 25 if paper else 15, minimum=2)
+    trials, points = _take_sizes(ov, paper, (100, 30), (25, 15))
     base = ModelConfig(n_samples=1000, dx=200, dy=50, theta=1.0,
                        mask_x=_mcar(0.3), mask_y=_mcar(0.4), seed=seed)
-    spec = SweepSpec(base=base,
-                     axis=Axis("theta_over_crit", _linspace(0.5, 2.5, points)),
-                     trials=trials)
+    spec = SweepSpec(base=base, axis=_relative_axis(points), trials=trials)
     return [RunItem("transition", spec)]
 
 
 def _exp2(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
-    trials = ov.take_int("trials", 30 if paper else 10)
-    grid = ov.take_int("theta_points", 30 if paper else 15, minimum=2)
+    trials, grid = _take_sizes(ov, paper, (30, 10), (30, 15))
     base = ModelConfig(n_samples=1000, dx=150, dy=120, theta=1.0, seed=seed)
     spec = SweepSpec(base=base,
                      axis=Axis("theta", _linspace(0.5, 2.0, grid)),
@@ -140,8 +150,7 @@ def _exp2(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
 
 
 def _exp3(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
-    trials = ov.take_int("trials", 30 if paper else 20)
-    points = ov.take_int("theta_points", 11 if paper else 13, minimum=3)
+    trials, points = _take_sizes(ov, paper, (30, 20), (11, 13), min_points=3)
     n_list = (100, 250, 500, 1000, 2000, 5000) if paper else (100, 500, 2000)
     # at N=100 the transition foot extends below 0.85 theta_crit, so the
     # narrow window left-censors its width; the desk window is widened
@@ -154,9 +163,7 @@ def _exp3(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
         base = ModelConfig(n_samples=n, dx=d, dy=d, theta=1.0,
                            mask_x=_mcar(rate), mask_y=_mcar(rate),
                            seed=derive_seed(seed, "finite-size", n))
-        spec = SweepSpec(base=base,
-                         axis=Axis("theta_over_crit",
-                                   _linspace(lo, hi, points)),
+        spec = SweepSpec(base=base, axis=_relative_axis(points, lo, hi),
                          trials=trials)
         items.append(RunItem(f"n{n}", spec))
     return items
@@ -165,8 +172,7 @@ def _exp3(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
 def _exp4(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     # the boundary extractor reads noisy near-floor means, so the desk
     # scale keeps the full trial count instead of shrinking it
-    trials = ov.take_int("trials", 30)
-    theta_pts = ov.take_int("theta_points", 50 if paper else 15, minimum=2)
+    trials, theta_pts = _take_sizes(ov, paper, (30, 30), (50, 15))
     m_values = _linspace(0.0, 0.9, 50) if paper else _linspace(0.0, 0.8, 9)
     base = ModelConfig(n_samples=800, dx=200, dy=200, theta=1.0, seed=seed)
     theta_axis = Axis("theta", _linspace(0.3, 2.0, theta_pts))
@@ -179,8 +185,7 @@ def _exp4(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
 
 
 def _exp5(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
-    trials = ov.take_int("trials", 500 if paper else 20)
-    points = ov.take_int("theta_points", 20 if paper else 10, minimum=2)
+    trials, points = _take_sizes(ov, paper, (500, 20), (20, 10))
     target_dims = ov.take_int("target_dims", 20, minimum=2)
     x_path = ov.take_str("x_matrix")
     y_path = ov.take_str("y_matrix")
@@ -198,7 +203,7 @@ def _exp5(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     n = x_real.shape[0]
     base = ModelConfig(n_samples=n, dx=target_dims, dy=target_dims, theta=1.0,
                        mask_x=_mcar(0.3), mask_y=_mcar(0.3), seed=seed)
-    theta_axis = Axis("theta_over_crit", _linspace(0.5, 2.5, points))
+    theta_axis = _relative_axis(points)
     real_factory = _factory_from(x_real, y_real)
     # masking sweep holds the signal fixed at 1.5x the threshold of the
     # reference masking level 0.3, so only the mask axis moves
@@ -223,13 +228,11 @@ def _exp5(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
 
 
 def _exp6(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
-    trials = ov.take_int("trials", 25 if paper else 15)
-    points = ov.take_int("theta_points", 60 if paper else 20, minimum=2)
+    trials, points = _take_sizes(ov, paper, (25, 15), (60, 20))
     base = ModelConfig(n_samples=2000, dx=266, dy=266, theta=1.0,
                        mask_x=_mcar(0.1), mask_y=_mcar(0.1), seed=seed)
-    spec = SweepSpec(base=base,
-                     axis=Axis("theta_over_crit", _linspace(0.5, 2.5, points)),
-                     trials=trials, split_half=True)
+    spec = SweepSpec(base=base, axis=_relative_axis(points), trials=trials,
+                     split_half=True)
     return [RunItem("split_half", spec)]
 
 
@@ -243,36 +246,36 @@ _B1_KINDS = (
 )
 
 
+# the geometry b1-b3 share; each varies its noise, masks or estimator
+_B_BASE = ModelConfig(n_samples=1000, dx=200, dy=150, theta=1.0,
+                      mask_x=_mcar(0.3), mask_y=_mcar(0.3))
+
+
 def _b1(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
-    trials = ov.take_int("trials", 100 if paper else 50)
-    points = ov.take_int("theta_points", 20 if paper else 12, minimum=2)
-    axis = Axis("theta_over_crit", _linspace(0.5, 2.5, points))
+    trials, points = _take_sizes(ov, paper, (100, 50), (20, 12))
+    axis = _relative_axis(points)
     items = []
     for name, noise in _B1_KINDS:
-        base = ModelConfig(n_samples=1000, dx=200, dy=150, theta=1.0,
-                           mask_x=_mcar(0.3), mask_y=_mcar(0.3), noise=noise,
-                           seed=seed)
+        base = dataclasses.replace(_B_BASE, noise=noise, seed=seed)
         items.append(RunItem(name, SweepSpec(base=base, axis=axis, trials=trials)))
     return items
 
 
 def _b2(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
-    trials = ov.take_int("trials", 100 if paper else 20)
-    points = ov.take_int("theta_points", 20 if paper else 10, minimum=2)
-    axis = Axis("theta_over_crit", _linspace(0.5, 2.5, points))
+    trials, points = _take_sizes(ov, paper, (100, 20), (20, 10))
+    axis = _relative_axis(points)
     strengths = (0.5, 1.0) if paper else (1.0,)
-    variants: list[tuple[str, MaskSpec]] = [("mcar", _mcar(0.3))]
+    variants: list[tuple[str, MaskSpec]] = [("mcar", _B_BASE.mask_x)]
     for mechanism in MASK_MECHANISMS:
         if mechanism == "mcar":
             continue
         for s in strengths:
             label = mechanism if len(strengths) == 1 else f"{mechanism}_s{s:g}"
-            variants.append(
-                (label, MaskSpec(mechanism=mechanism, target_rate=0.3, strength=s)))
+            variants.append((label, dataclasses.replace(
+                _B_BASE.mask_x, mechanism=mechanism, strength=s)))
     items = []
     for name, mask in variants:
-        base = ModelConfig(n_samples=1000, dx=200, dy=150, theta=1.0,
-                           mask_x=mask, mask_y=mask, seed=seed)
+        base = dataclasses.replace(_B_BASE, mask_x=mask, mask_y=mask, seed=seed)
         items.append(RunItem(name, SweepSpec(base=base, axis=axis, trials=trials)))
     return items
 
@@ -280,11 +283,9 @@ def _b2(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
 def _b3(paper: bool, seed: int, ov: _Overrides) -> list[RunItem]:
     # 50 trials at both scales: the baseline comparison needs the
     # standard-error resolution regardless of scale
-    trials = ov.take_int("trials", 50)
-    points = ov.take_int("theta_points", 16 if paper else 4, minimum=2)
-    axis = Axis("theta_over_crit", _linspace(0.5, 2.0, points))
-    base = ModelConfig(n_samples=1000, dx=200, dy=150, theta=1.0,
-                       mask_x=_mcar(0.3), mask_y=_mcar(0.3), seed=seed)
+    trials, points = _take_sizes(ov, paper, (50, 50), (16, 4))
+    axis = _relative_axis(points, hi=2.0)
+    base = dataclasses.replace(_B_BASE, seed=seed)
     items = []
     for name in ESTIMATOR_NAMES:
         spec = SweepSpec(base=base, axis=axis, trials=trials,

@@ -69,10 +69,7 @@ def is_supercritical(alpha_x: float, alpha_y: float, rho: float, theta: float) -
     Strict comparison against the critical strength: equality counts as
     subcritical.
     """
-    _check_aspects(alpha_x, alpha_y)
-    _check_rho(rho)
-    _check_spike(theta)
-    return theta > critical_threshold(alpha_x, alpha_y, rho)
+    return predict(alpha_x, alpha_y, rho, theta).supercritical
 
 
 def asymptotic_overlaps(alpha_x: float, alpha_y: float, rho: float,
@@ -81,28 +78,26 @@ def asymptotic_overlaps(alpha_x: float, alpha_y: float, rho: float,
 
     Exactly (0.0, 0.0) at and below the critical signal strength.
     """
-    if not is_supercritical(alpha_x, alpha_y, rho, theta):
-        return 0.0, 0.0
-    t = alpha_x * alpha_y * rho**2 * theta**4
-    gx = alpha_x * rho * theta**2
-    gy = alpha_y * rho * theta**2
-    r2_x = (t - 1.0) / (gy * (gx + 1.0))
-    r2_y = (t - 1.0) / (gx * (gy + 1.0))
-    # clamp away sub-1e-12 floating-point excursions outside [0, 1]
-    return (float(min(max(r2_x, 0.0), 1.0)),
-            float(min(max(r2_y, 0.0), 1.0)))
+    pred = predict(alpha_x, alpha_y, rho, theta)
+    return pred.r2_x, pred.r2_y
 
 
 def predict(alpha_x: float, alpha_y: float, rho: float, theta: float) -> TheoryPrediction:
-    """Bundle threshold, effective spike, overlaps and phase at one point."""
-    r2_x, r2_y = asymptotic_overlaps(alpha_x, alpha_y, rho, theta)
-    return TheoryPrediction(
-        theta_crit=critical_threshold(alpha_x, alpha_y, rho),
-        theta_eff=effective_spike(theta, rho),
-        r2_x=r2_x,
-        r2_y=r2_y,
-        supercritical=is_supercritical(alpha_x, alpha_y, rho, theta),
-    )
+    """Bundle threshold, effective spike, overlaps and phase at one point,
+    checking the aspect ratios, then rho, then theta."""
+    theta_crit = critical_threshold(alpha_x, alpha_y, rho)
+    theta_eff = effective_spike(theta, rho)
+    supercritical = theta > theta_crit
+    r2_x = r2_y = 0.0
+    if supercritical:
+        t = alpha_x * alpha_y * rho**2 * theta**4
+        gx = alpha_x * rho * theta**2
+        gy = alpha_y * rho * theta**2
+        # clamp away sub-1e-12 floating-point excursions outside [0, 1]
+        r2_x = float(min(max((t - 1.0) / (gy * (gx + 1.0)), 0.0), 1.0))
+        r2_y = float(min(max((t - 1.0) / (gx * (gy + 1.0)), 0.0), 1.0))
+    return TheoryPrediction(theta_crit=theta_crit, theta_eff=theta_eff,
+                            r2_x=r2_x, r2_y=r2_y, supercritical=supercritical)
 
 
 def _check_unit_interval(r: float, name: str):

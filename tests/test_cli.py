@@ -317,6 +317,29 @@ def test_run_rejects_infinite_theta_in_sweep_document(tmp_path, capsys):
     assert "variant=" not in captured.out
 
 
+def test_run_rejects_estimator_loop_settings(tmp_path, capsys):
+    # an echo from before the loop budget became a constant, with the tol
+    # that once stopped em_pls after its first check
+    cfg = tmp_path / "echo.json"
+    estimator = '{"name": "em_pls", "max_iter": 50, "tol": Infinity}'
+    cfg.write_text(json.dumps(SMALL_SWEEP)[:-2] + f', "estimator": {estimator}}}}}')
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "unknown keys in sweep.estimator: ['max_iter', 'tol']" in captured.err
+    assert "variant=" not in captured.out
+
+
+def test_run_rejects_missing_out_directory_before_running(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code = main(["run", "--preset", "exp1_transition", "--override", "trials=1",
+                 "--override", "theta_points=2", "--out", str(missing / "x.csv")])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"--out directory {str(missing)!r} does not exist" in captured.err
+    assert "variant=" not in captured.out
+    assert not missing.exists()
+
+
 def test_run_rejects_non_integer_override(capsys):
     code = main(["run", "--preset", "exp1_transition", "--override", "trials=2.9"])
     assert code == EXIT_CONFIG

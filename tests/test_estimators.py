@@ -1,5 +1,7 @@
 """Tests for the masked-data estimators and split-half diagnostic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,10 +123,16 @@ def test_squared_overlaps_sign_invariant():
 def test_estimator_kind_validation():
     with pytest.raises(ValueError, match="unknown estimator"):
         EstimatorKind("ridge")
-    with pytest.raises(ValueError, match="max_iter"):
-        EstimatorKind("em_pls", max_iter=0)
-    with pytest.raises(ValueError, match="tol"):
-        EstimatorKind("em_pls", tol=0.0)
+
+
+def test_estimator_kind_holds_only_its_name():
+    # the loop budget is a class constant, not a setting; the traced
+    # benchmark reads it off the instance that estimate receives
+    assert [f.name for f in dataclasses.fields(EstimatorKind)] == ["name"]
+    assert EstimatorKind("em_pls").max_iter == 50
+    assert EstimatorKind("iterative_svd").tol == 1e-6
+    with pytest.raises(TypeError):
+        EstimatorKind("em_pls", max_iter=10)
 
 
 def test_all_estimators_agree_without_masking():
@@ -143,13 +151,13 @@ def test_estimate_result_fields():
     cfg = ModelConfig(n_samples=200, dx=30, dy=20, theta=1.2,
                       mask_x=MaskSpec("mcar", 0.2),
                       mask_y=MaskSpec("mcar", 0.2), seed=1)
-    res = estimate(generate_pair(cfg), EstimatorKind("em_pls", max_iter=40))
+    res = estimate(generate_pair(cfg), EstimatorKind("em_pls"))
     assert isinstance(res, EstimateResult)
     assert res.u_hat.shape == (30,)
     assert res.v_hat.shape == (20,)
     assert 0.0 <= res.r2_x <= 1.0
     assert 0.0 <= res.r2_y <= 1.0
-    assert 1 <= res.iterations <= 40
+    assert 1 <= res.iterations <= EstimatorKind.max_iter
 
 
 def test_null_signal_overlaps_at_noise_floor():
@@ -221,7 +229,7 @@ def test_em_pls_iterates_beyond_first_step_under_masking():
     cfg = ModelConfig(n_samples=500, dx=80, dy=40, theta=1.8,
                       mask_x=MaskSpec("mcar", 0.3),
                       mask_y=MaskSpec("mcar", 0.3), seed=7)
-    res = estimate(generate_pair(cfg), EstimatorKind("em_pls", max_iter=60))
+    res = estimate(generate_pair(cfg), EstimatorKind("em_pls"))
     assert res.iterations >= 2
 
 
@@ -229,9 +237,9 @@ def test_iterative_svd_reports_summed_iterations():
     cfg = ModelConfig(n_samples=300, dx=50, dy=30, theta=1.5,
                       mask_x=MaskSpec("mcar", 0.2),
                       mask_y=MaskSpec("mcar", 0.2), seed=9)
-    res = estimate(generate_pair(cfg), EstimatorKind("iterative_svd",
-                                                     max_iter=30))
-    assert 2 <= res.iterations <= 60
+    res = estimate(generate_pair(cfg), EstimatorKind("iterative_svd"))
+    # one budget per view
+    assert 2 <= res.iterations <= 2 * EstimatorKind.max_iter
 
 
 # ---------------------------------------------------------------------------

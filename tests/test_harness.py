@@ -637,12 +637,12 @@ def test_result_digest_sensitive_to_values():
 
 def test_empirical_boundary_interpolates():
     pts = [
-        _point(axis1=0.5, theta=0.5, mean_r2x=0.0),
-        _point(axis1=1.0, theta=1.0, mean_r2x=0.01),
-        _point(axis1=1.5, theta=1.5, mean_r2x=0.21),
+        _point(axis1=0.5, theta=0.5, mean_r2x=0.0, dx=30),
+        _point(axis1=1.0, theta=1.0, mean_r2x=0.02, dx=30),
+        _point(axis1=1.5, theta=1.5, mean_r2x=0.18, dx=30),
     ]
-    # threshold 0.11 sits halfway between the last two grid points
-    assert empirical_boundary(pts, threshold=0.11) == pytest.approx(1.25)
+    # the floor 3 / dx = 0.1 sits halfway between the last two grid points
+    assert empirical_boundary(pts) == pytest.approx(1.25)
 
 
 def test_empirical_boundary_default_noise_floor():
@@ -657,34 +657,32 @@ def test_empirical_boundary_default_noise_floor():
 
 
 def test_empirical_boundary_nan_when_never_crossed():
-    pts = [_point(axis1=t, theta=t, mean_r2x=0.001) for t in (0.5, 1.0)]
-    assert math.isnan(empirical_boundary(pts, threshold=0.5))
+    pts = [_point(axis1=t, theta=t, mean_r2x=0.001, dx=6) for t in (0.5, 1.0)]
+    assert math.isnan(empirical_boundary(pts))
 
 
 def test_empirical_boundary_skips_invalid_points():
     pts = [
-        _point(axis1=0.5, theta=0.5, mean_r2x=0.9, valid=False),
-        _point(axis1=1.0, theta=1.0, mean_r2x=0.0),
-        _point(axis1=1.5, theta=1.5, mean_r2x=0.4),
+        _point(axis1=0.5, theta=0.5, mean_r2x=0.9, valid=False, dx=15),
+        _point(axis1=1.0, theta=1.0, mean_r2x=0.0, dx=15),
+        _point(axis1=1.5, theta=1.5, mean_r2x=0.4, dx=15),
     ]
-    assert empirical_boundary(pts, threshold=0.2) == pytest.approx(1.25)
+    # floor 3 / dx = 0.2
+    assert empirical_boundary(pts) == pytest.approx(1.25)
 
 
 def test_transition_width_simple_ramp():
-    # linear ramp from 0 to 1 over theta in [1, 2]: quantile crossings
-    # of the peak sit at exactly the quantile positions
+    # linear ramp from 0 to 1 over theta in [1, 2]: the 25% and 75%
+    # crossings of the peak sit at theta 1.25 and 1.75
     thetas = np.linspace(1.0, 2.0, 11)
     pts = [_point(axis1=t, theta=t, mean_r2x=(t - 1.0)) for t in thetas]
     assert transition_width(pts) == pytest.approx(0.5, abs=1e-12)
-    assert transition_width(pts, quantiles=(0.1, 0.9)) == pytest.approx(0.8)
 
 
 def test_transition_width_edge_cases():
     assert math.isnan(transition_width([_point()]))
     flat = [_point(axis1=t, theta=t, mean_r2x=0.0) for t in (1.0, 2.0)]
     assert math.isnan(transition_width(flat))
-    with pytest.raises(ValueError, match="quantiles"):
-        transition_width([_point(), _point(axis1=2.0)], quantiles=(0.75, 0.25))
 
 
 def test_finite_size_study_validation():

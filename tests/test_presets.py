@@ -225,7 +225,7 @@ def test_parse_config_sweep_form():
         "base": {"n_samples": 100, "dx": 10, "dy": 8, "theta": 1.0},
         "axis": {"name": "theta", "values": [0.5, 1.5]},
         "trials": 4,
-        "estimator": {"name": "em_pls", "max_iter": 25},
+        "estimator": {"name": "em_pls"},
         "split_half": True,
     }}
     resolved = parse_config(json.dumps(doc), seed=17)
@@ -233,7 +233,6 @@ def test_parse_config_sweep_form():
     assert spec.base.seed == 17
     assert spec.trials == 4
     assert spec.estimator.name == "em_pls"
-    assert spec.estimator.max_iter == 25
     assert spec.split_half
 
 
@@ -309,6 +308,11 @@ def _sweep_with(path: tuple, value=None, delete: bool = False) -> str:
      r"unknown keys in sweep\.estimator:.*rank"),
     (("base", "noise"), {"kind": "heteroskedastic", "low": 0.5},
      r"unknown keys in sweep\.base\.noise:.*low"),
+    # the estimators' loop budget is a constant, no longer a key
+    (("estimator",), {"name": "em_pls", "max_iter": 50},
+     r"unknown keys in sweep\.estimator: \['max_iter'\]"),
+    (("estimator",), {"name": "em_pls", "tol": float("inf")},
+     r"unknown keys in sweep\.estimator: \['tol'\]"),
 ])
 def test_sweep_decoder_rejects(path, value, message):
     with pytest.raises(ConfigError, match=message):
@@ -350,7 +354,6 @@ def test_every_preset_spec_round_trips_through_the_sweep_form():
     (("base", "noise"), {"df": None}, r"sweep\.base\.noise: df must be finite, got nan"),
     (("base", "mask_x"), {"target_rate": None}, r"target_rate must be in \[0, 1\), got nan"),
     (("base", "mask_y"), {"strength": None}, r"strength must be in \[0, 1\], got nan"),
-    (("estimator",), {"tol": None}, r"tol must be positive, got nan"),
     (("axis", "values"), [None], r"axis values must be finite"),
 ])
 def test_sweep_decoder_reads_null_floats_as_nan_and_rejects_them(path, value, message):
