@@ -143,13 +143,19 @@ def _cmd_run(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     resolved = _resolve_run_config(args)
-    out_dir = os.path.dirname(args.out or "") or "."
-    if not os.path.isdir(out_dir):
-        raise ConfigError(f"--out directory {out_dir!r} does not exist")
+    multi = len(resolved.items) > 1
+    if args.out:
+        out_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(out_dir):
+            raise ConfigError(f"--out directory {out_dir!r} does not exist")
+        # every file the run will write, checked before any sweep runs
+        for item in resolved.items:
+            path = _variant_path(args.out, item.name, multi)
+            if os.path.isdir(path):
+                raise ConfigError(f"--out path {path!r} is a directory")
     print(json.dumps(resolved.echo, indent=2, sort_keys=True))
     print()
     preset_name = resolved.echo.get("preset")
-    multi = len(resolved.items) > 1
     environment = _numeric_environment()
     results = {}
     for item in resolved.items:

@@ -8,6 +8,7 @@ completion, and an oracle that sees the unmasked data.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -73,8 +74,10 @@ def _column_mean_impute(obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def _em_pls(pair: MaskedPair, kind: EstimatorKind):
     n = pair.n_samples
     x_imp = _column_mean_impute(pair.x_obs, pair.mask_x)
-    y_imp = _column_mean_impute(pair.y_obs, pair.mask_y)
-    rows, cols = np.nonzero(~pair.mask_y)
+    y_imp = np.ascontiguousarray(_column_mean_impute(pair.y_obs, pair.mask_y))
+    y_flat = y_imp.reshape(-1)  # a view: writes land in y_imp
+    missing = np.flatnonzero(~pair.mask_y)
+    rows, cols = np.divmod(missing, y_imp.shape[1])
     sigma_prev = None
     triple = None
     iterations = kind.max_iter
@@ -91,7 +94,7 @@ def _em_pls(pair: MaskedPair, kind: EstimatorKind):
         # the design is not constrained by the rank-1 model, so its
         # missing entries keep their column means
         scores = x_imp @ triple.left
-        y_imp[rows, cols] = sigma * (scores[rows] * triple.right[cols])
+        y_flat[missing] = sigma * (scores[rows] * triple.right[cols])
     return triple, iterations
 
 
@@ -112,17 +115,23 @@ def _hard_impute(obs: np.ndarray, mask: np.ndarray, max_iter: int, tol: float):
     t = completed if tall else completed.T
     # the missing entries' row and column indices into t
     t_rows, t_cols = (rows, cols) if tall else (cols, rows)
+    # the refill and its change live in three buffers reused every step
     prev = flat[missing]
+    cur = np.empty_like(prev)
+    scratch = np.empty_like(prev)
     prev_norm = np.linalg.norm(prev)
     iterations = max_iter
     for it in range(1, max_iter + 1):
         v = top_eigenvector(t.T @ t)
-        cur = (t @ v)[t_rows] * v[t_cols]
+        np.take(t @ v, t_rows, out=cur)
+        np.multiply(cur, np.take(v, t_cols, out=scratch), out=cur)
         flat[missing] = cur
-        if np.linalg.norm(cur - prev) <= tol * (prev_norm + _TINY):
+        change = np.linalg.norm(np.subtract(cur, prev, out=scratch))
+        if change <= tol * (prev_norm + _TINY):
             iterations = it
             break
-        prev, prev_norm = cur, np.linalg.norm(cur)
+        prev, cur = cur, prev
+        prev_norm = np.linalg.norm(prev)
     return completed, iterations
 
 
@@ -147,8 +156,14 @@ def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
     elif kind.name == "em_pls":
         triple, iterations = _em_pls(pair, kind)
     elif kind.name == "iterative_svd":
-        x_comp, it_x = _hard_impute(pair.x_obs, pair.mask_x, kind.max_iter, kind.tol)
-        y_comp, it_y = _hard_impute(pair.y_obs, pair.mask_y, kind.max_iter, kind.tol)
+        # the views' loops share no data: the response's runs on a side
+        # thread, joined before this branch returns or raises
+        with ThreadPoolExecutor(max_workers=1) as side:
+            y_loop = side.submit(_hard_impute, pair.y_obs, pair.mask_y,
+                                 kind.max_iter, kind.tol)
+            x_comp, it_x = _hard_impute(pair.x_obs, pair.mask_x,
+                                        kind.max_iter, kind.tol)
+            y_comp, it_y = y_loop.result()
         triple = top_singular_pair(x_comp.T @ y_comp / n)
         iterations = it_x + it_y
     else:  # oracle

@@ -14,7 +14,12 @@ helper thread that draws its next trial, so it runs at the count of a
 two-thread sweep.  Results depend on the harness thread count only
 through that BLAS count, so one- and two-thread sweeps agree bit for
 bit, and with OpenBLAS on one thread, results are identical for every
-harness thread count.
+harness thread count.  An ``iterative_svd`` fit runs its two views'
+loops at once, the response view's on a second thread at the same BLAS
+count, so k workers briefly make 2k BLAS callers; each loop's arithmetic
+is unchanged, so results do not depend on it.  A trial hands every
+estimator but the oracle its pair without the latent complete views,
+which frees them before the fit.
 """
 
 from __future__ import annotations
@@ -193,6 +198,9 @@ def run_trial(config: ModelConfig, estimator: EstimatorKind,
     The pair is ``pair_factory(config)``, or ``generate_pair(config)``
     when none is given; it is made inside the trial, so a pair source
     that fails, a draw made ahead of the trial included, is tagged on it.
+    Only the oracle reads the pair's latent views, so every other
+    estimator gets the pair without them, and they are freed before the
+    fit.
     """
     t0 = time.perf_counter()
     try:
@@ -200,6 +208,8 @@ def run_trial(config: ModelConfig, estimator: EstimatorKind,
             pair = generate_pair(config)
         else:
             pair = pair_factory(config)
+        if estimator.name != "oracle":
+            pair = dataclasses.replace(pair, x_latent=None, y_latent=None)
         fit = estimate(pair, estimator)
         if split_half:
             stability = split_half_stability(pair, config.seed)

@@ -123,7 +123,8 @@ class MaskedPair:
 
     x_obs / y_obs are missing-as-zero observed matrices; mask_x / mask_y
     are True where observed.  The latent complete matrices are retained
-    so oracle estimators and diagnostics can access them.
+    so oracle estimators and diagnostics can access them; they are None
+    in a pair handed to any other estimator.
     """
 
     x_obs: np.ndarray
@@ -133,8 +134,8 @@ class MaskedPair:
     u0: np.ndarray
     v0: np.ndarray
     rho: float
-    x_latent: np.ndarray
-    y_latent: np.ndarray
+    x_latent: np.ndarray | None
+    y_latent: np.ndarray | None
 
     @property
     def n_samples(self) -> int:

@@ -340,6 +340,25 @@ def test_run_rejects_missing_out_directory_before_running(tmp_path, capsys):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("preset, taken", [
+    ("exp1_transition", "out.csv"),
+    ("exp4_missingness_modes", "out-joint.csv"),
+])
+def test_run_rejects_out_path_naming_a_directory_before_running(
+        tmp_path, capsys, preset, taken):
+    # a multi-variant run writes out-<variant>.csv, so that is the path
+    # checked for exp4, not --out itself
+    (tmp_path / taken).mkdir()
+    out = tmp_path / "out.csv"
+    code = main(["run", "--preset", preset, "--override", "trials=1",
+                 "--override", "theta_points=2", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"--out path {str(tmp_path / taken)!r} is a directory" in captured.err
+    assert "variant=" not in captured.out
+    assert sorted(os.listdir(tmp_path)) == [taken]
+
+
 def test_run_rejects_non_integer_override(capsys):
     code = main(["run", "--preset", "exp1_transition", "--override", "trials=2.9"])
     assert code == EXIT_CONFIG

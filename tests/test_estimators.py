@@ -1,11 +1,12 @@
 """Tests for the masked-data estimators and split-half diagnostic."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
-from maskedpls import estimators
+from maskedpls import blas, estimators
 from maskedpls.estimators import (
     ESTIMATOR_NAMES,
     EstimateResult,
@@ -265,6 +266,27 @@ def _hard_impute_by_svd(obs, mask, max_iter, tol):
     return completed, iterations
 
 
+def _hard_impute_by_allocation(obs, mask, max_iter, tol):
+    """Reference hard-impute loop that allocates its refill every step."""
+    completed = np.ascontiguousarray(_column_mean_impute(obs, mask))
+    flat = completed.reshape(-1)
+    missing = np.flatnonzero(~mask)
+    rows, cols = np.divmod(missing, completed.shape[1])
+    tall = completed.shape[0] >= completed.shape[1]
+    t = completed if tall else completed.T
+    t_rows, t_cols = (rows, cols) if tall else (cols, rows)
+    prev = flat[missing]
+    prev_norm = np.linalg.norm(prev)
+    for it in range(1, max_iter + 1):
+        v = estimators.top_eigenvector(t.T @ t)
+        cur = (t @ v)[t_rows] * v[t_cols]
+        flat[missing] = cur
+        if np.linalg.norm(cur - prev) <= tol * (prev_norm + np.finfo(float).tiny):
+            return completed, it
+        prev, prev_norm = cur, np.linalg.norm(cur)
+    return completed, max_iter
+
+
 def _em_pls_by_where(pair, kind):
     """Reference EM-PLS: refits the whole response through np.where."""
     n = pair.n_samples
@@ -293,7 +315,7 @@ def _low_rank_masked(rows, cols, strengths, seed):
     return np.where(mask, full, 0.0), mask
 
 
-@pytest.mark.parametrize("rows,cols", [(120, 30), (30, 80), (400, 150)])
+@pytest.mark.parametrize("rows,cols", [(120, 30), (30, 80), (400, 150), (150, 400)])
 def test_hard_impute_matches_truncated_svd(rows, cols):
     obs, mask = _low_rank_masked(rows, cols, (20.0,), seed=1 + rows)
     want, want_it = _hard_impute_by_svd(obs, mask, 200, 1e-8)
@@ -302,6 +324,9 @@ def test_hard_impute_matches_truncated_svd(rows, cols):
     assert got_it == want_it
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
     np.testing.assert_array_equal(got[mask], obs[mask])
+    # the reused refill buffers change no bit of the loop
+    np.testing.assert_array_equal(
+        got, _hard_impute_by_allocation(obs, mask, 200, 1e-8)[0])
 
 
 @pytest.mark.parametrize("shape", [(40, 1), (1, 40)])
@@ -337,6 +362,55 @@ def test_em_pls_matches_whole_matrix_refit():
     np.testing.assert_array_equal(got.left, want.left)
     np.testing.assert_array_equal(got.right, want.right)
     assert got.value == want.value
+
+
+def test_em_pls_fills_fortran_ordered_views():
+    # the response refill writes through a flat view, which must not be a copy
+    cfg = ModelConfig(n_samples=300, dx=50, dy=40, theta=1.8,
+                      mask_x=MaskSpec("mcar", 0.3),
+                      mask_y=MaskSpec("mcar", 0.3), seed=5)
+    pair = generate_pair(cfg)
+    fortran = dataclasses.replace(
+        pair, **{name: np.asfortranarray(getattr(pair, name))
+                 for name in ("x_obs", "y_obs", "mask_x", "mask_y")})
+    kind = EstimatorKind("em_pls")
+    want, want_it = _em_pls_by_where(pair, kind)
+    got, got_it = _em_pls(fortran, kind)
+    assert got_it == want_it > 1
+    # column sums and products run in another order on Fortran-ordered input
+    np.testing.assert_allclose(got.left, want.left, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got.right, want.right, rtol=0, atol=1e-10)
+
+
+@pytest.fixture
+def blas_restored():
+    before = blas.num_threads()
+    if before is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    yield
+    blas.set_num_threads(before)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_iterative_svd_matches_sequential_views(blas_restored, threads):
+    # the response view runs on a side thread; each view's loop must give
+    # what it gives alone, bit for bit
+    blas.set_num_threads(threads)
+    cfg = ModelConfig(n_samples=400, dx=150, dy=90, theta=1.5,
+                      mask_x=MaskSpec("mcar", 0.3),
+                      mask_y=MaskSpec("mcar", 0.3), seed=13)
+    pair = generate_pair(cfg)
+    kind = EstimatorKind("iterative_svd")
+    x_comp, it_x = _hard_impute(pair.x_obs, pair.mask_x, kind.max_iter, kind.tol)
+    y_comp, it_y = _hard_impute(pair.y_obs, pair.mask_y, kind.max_iter, kind.tol)
+    want = top_singular_pair(x_comp.T @ y_comp / cfg.n_samples)
+    before = threading.active_count()
+    got = estimate(pair, kind)
+    assert threading.active_count() == before
+    assert blas.num_threads() == threads
+    assert got.iterations == it_x + it_y
+    np.testing.assert_array_equal(got.u_hat, want.left)
+    np.testing.assert_array_equal(got.v_hat, want.right)
 
 
 def test_iterative_svd_decomposes_no_data_matrix(monkeypatch):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from maskedpls import blas, harness, synth
+from maskedpls import blas, estimators, harness, synth
 from maskedpls.estimators import EstimatorKind
 from maskedpls.harness import (
     Axis,
@@ -577,6 +577,43 @@ def test_run_trial_reports_seed_derivation():
     trial = run_trial(_trial(base, 7), EstimatorKind(), False)
     assert trial.seed == derive_seed(base.seed, "trial", 7)
     assert trial.error is None
+
+
+@pytest.mark.parametrize("name", ["pls_svd_zero", "iterative_svd", "oracle"])
+def test_run_trial_hands_latents_to_the_oracle_only(monkeypatch, name):
+    seen = []
+    real = harness.estimate
+
+    def recording_estimate(pair, kind):
+        seen.append((pair.x_latent is None, pair.y_latent is None))
+        return real(pair, kind)
+
+    monkeypatch.setattr(harness, "estimate", recording_estimate)
+    trial = run_trial(_trial(_base(), 0), EstimatorKind(name), False)
+    assert trial.error is None
+    dropped = name != "oracle"
+    assert seen == [(dropped, dropped)]
+
+
+@pytest.mark.parametrize("view", ["x", "y"])
+def test_run_trial_tags_a_failed_iterative_svd_view_and_leaves_no_thread(
+        monkeypatch, view):
+    # the response view's loop runs on a side thread, which must be
+    # joined when either view raises
+    real = estimators._hard_impute
+    base = _base()
+    width = base.dx if view == "x" else base.dy
+
+    def failing_view(obs, mask, max_iter, tol):
+        if obs.shape[1] == width:
+            raise FloatingPointError(f"{view} view failed")
+        return real(obs, mask, max_iter, tol)
+
+    monkeypatch.setattr(estimators, "_hard_impute", failing_view)
+    before = threading.active_count()
+    trial = run_trial(_trial(base, 0), EstimatorKind("iterative_svd"), False)
+    assert trial.error == f"FloatingPointError: {view} view failed"
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

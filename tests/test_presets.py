@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from maskedpls import blas
 from maskedpls.harness import (
     Axis,
     PointSummary,
     SweepResult,
     SweepSpec,
+    run_sweep,
 )
 from maskedpls.matio import write_matrix
 from maskedpls.presets import (
@@ -375,6 +377,41 @@ def test_integer_overrides_accept_integral_values():
     for value in (7, 7.0):
         spec = preset_config("exp1_transition", "desk", {"trials": value}).items[0].spec
         assert spec.trials == 7 and isinstance(spec.trials, int)
+
+
+# ---------------------------------------------------------------------------
+# pinned results
+
+# the build the pinned digests were recorded on; rounding, and with it a
+# digest, may differ on another numpy, OpenBLAS or OpenBLAS core type
+_PINNED_BUILD = (
+    "2.4.6",
+    "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
+)
+_PINNED_B3_DIGESTS = {
+    "pls_svd_zero": "8ed070afd41ba3ab932539e3adc97e1a",
+    "mean_impute": "9bf8d57e603be7511319b0609d5ba903",
+    "em_pls": "5bc4172082faba9f3eff082df19bf70c",
+    "iterative_svd": "1b58411ae03d4b7adb3d531eaedb2276",
+    "oracle": "185a8be6aad437b4dbcd84bb164c7d4d",
+}
+
+
+def test_b3_baselines_digests_are_pinned():
+    # every estimator's loop at one BLAS thread, checked bit for bit
+    build = (np.__version__, blas.config())
+    if build != _PINNED_BUILD:
+        pytest.skip(f"digests pinned on {_PINNED_BUILD}, running on {build}")
+    before = blas.num_threads()
+    blas.set_num_threads(1)
+    try:
+        resolved = preset_config("b3_baselines", "desk",
+                                 {"seed": 0, "trials": 2, "theta_points": 2})
+        digests = {item.name: run_sweep(item.spec).digest
+                   for item in resolved.items}
+    finally:
+        blas.set_num_threads(before)
+    assert digests == _PINNED_B3_DIGESTS
 
 
 # ---------------------------------------------------------------------------
