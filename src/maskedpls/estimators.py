@@ -74,10 +74,8 @@ def _column_mean_impute(obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def _em_pls(pair: MaskedPair, kind: EstimatorKind):
     n = pair.n_samples
     x_imp = _column_mean_impute(pair.x_obs, pair.mask_x)
-    y_imp = np.ascontiguousarray(_column_mean_impute(pair.y_obs, pair.mask_y))
-    y_flat = y_imp.reshape(-1)  # a view: writes land in y_imp
-    missing = np.flatnonzero(~pair.mask_y)
-    rows, cols = np.divmod(missing, y_imp.shape[1])
+    y_imp = _column_mean_impute(pair.y_obs, pair.mask_y)
+    rows, cols = np.nonzero(~pair.mask_y)
     sigma_prev = None
     triple = None
     iterations = kind.max_iter
@@ -94,7 +92,7 @@ def _em_pls(pair: MaskedPair, kind: EstimatorKind):
         # the design is not constrained by the rank-1 model, so its
         # missing entries keep their column means
         scores = x_imp @ triple.left
-        y_flat[missing] = sigma * (scores[rows] * triple.right[cols])
+        y_imp[rows, cols] = sigma * (scores[rows] * triple.right[cols])
     return triple, iterations
 
 
@@ -115,28 +113,29 @@ def _hard_impute(obs: np.ndarray, mask: np.ndarray, max_iter: int, tol: float):
     t = completed if tall else completed.T
     # the missing entries' row and column indices into t
     t_rows, t_cols = (rows, cols) if tall else (cols, rows)
-    # the refill and its change live in three buffers reused every step
     prev = flat[missing]
-    cur = np.empty_like(prev)
-    scratch = np.empty_like(prev)
     prev_norm = np.linalg.norm(prev)
     iterations = max_iter
     for it in range(1, max_iter + 1):
         v = top_eigenvector(t.T @ t)
-        np.take(t @ v, t_rows, out=cur)
-        np.multiply(cur, np.take(v, t_cols, out=scratch), out=cur)
+        cur = (t @ v)[t_rows] * v[t_cols]
         flat[missing] = cur
-        change = np.linalg.norm(np.subtract(cur, prev, out=scratch))
-        if change <= tol * (prev_norm + _TINY):
+        if np.linalg.norm(cur - prev) <= tol * (prev_norm + _TINY):
             iterations = it
             break
-        prev, cur = cur, prev
-        prev_norm = np.linalg.norm(prev)
+        prev, prev_norm = cur, np.linalg.norm(cur)
     return completed, iterations
 
 
-def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
+def estimate(pair: MaskedPair, kind: EstimatorKind,
+             side_thread: bool = False) -> EstimateResult:
     """Run one estimator on one masked pair.
+
+    With ``side_thread``, ``iterative_svd`` runs the response view's loop
+    on a second thread, at the caller's BLAS count, while the caller runs
+    the design view's; the views share no data, so the result is the
+    same bit for bit.  The thread is joined before this returns or
+    raises.
 
     Non-convergence is not raised: the iterative refinements report it
     through the iteration count, and an unconverged leading pair (a
@@ -156,14 +155,16 @@ def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
     elif kind.name == "em_pls":
         triple, iterations = _em_pls(pair, kind)
     elif kind.name == "iterative_svd":
-        # the views' loops share no data: the response's runs on a side
-        # thread, joined before this branch returns or raises
-        with ThreadPoolExecutor(max_workers=1) as side:
-            y_loop = side.submit(_hard_impute, pair.y_obs, pair.mask_y,
-                                 kind.max_iter, kind.tol)
-            x_comp, it_x = _hard_impute(pair.x_obs, pair.mask_x,
-                                        kind.max_iter, kind.tol)
-            y_comp, it_y = y_loop.result()
+        x_args = (pair.x_obs, pair.mask_x, kind.max_iter, kind.tol)
+        y_args = (pair.y_obs, pair.mask_y, kind.max_iter, kind.tol)
+        if side_thread:
+            with ThreadPoolExecutor(max_workers=1) as side:
+                y_loop = side.submit(_hard_impute, *y_args)
+                x_comp, it_x = _hard_impute(*x_args)
+                y_comp, it_y = y_loop.result()
+        else:
+            x_comp, it_x = _hard_impute(*x_args)
+            y_comp, it_y = _hard_impute(*y_args)
         triple = top_singular_pair(x_comp.T @ y_comp / n)
         iterations = it_x + it_y
     else:  # oracle

@@ -14,10 +14,11 @@ helper thread that draws its next trial, so it runs at the count of a
 two-thread sweep.  Results depend on the harness thread count only
 through that BLAS count, so one- and two-thread sweeps agree bit for
 bit, and with OpenBLAS on one thread, results are identical for every
-harness thread count.  An ``iterative_svd`` fit runs its two views'
-loops at once, the response view's on a second thread at the same BLAS
-count, so k workers briefly make 2k BLAS callers; each loop's arithmetic
-is unchanged, so results do not depend on it.  A trial hands every
+harness thread count.  Where the workers' BLAS threads leave as many
+idle (a one-thread sweep on two or more), an ``iterative_svd`` fit runs
+its response view's loop on a second thread at the same BLAS count,
+beside the worker's design-view loop; each loop's arithmetic is
+unchanged, so results do not depend on it.  A trial hands every
 estimator but the oracle its pair without the latent complete views,
 which frees them before the fit.
 """
@@ -191,7 +192,8 @@ def grid_assignments(spec: SweepSpec) -> list[dict[str, float]]:
 
 def run_trial(config: ModelConfig, estimator: EstimatorKind,
               split_half: bool,
-              pair_factory: PairFactory | None = None) -> TrialResult:
+              pair_factory: PairFactory | None = None,
+              side_thread: bool = False) -> TrialResult:
     """One independent draw and fit of the trial's own config.  Failures
     are tagged, not raised.
 
@@ -200,7 +202,7 @@ def run_trial(config: ModelConfig, estimator: EstimatorKind,
     that fails, a draw made ahead of the trial included, is tagged on it.
     Only the oracle reads the pair's latent views, so every other
     estimator gets the pair without them, and they are freed before the
-    fit.
+    fit.  ``side_thread`` is handed to ``estimate``.
     """
     t0 = time.perf_counter()
     try:
@@ -210,7 +212,7 @@ def run_trial(config: ModelConfig, estimator: EstimatorKind,
             pair = pair_factory(config)
         if estimator.name != "oracle":
             pair = dataclasses.replace(pair, x_latent=None, y_latent=None)
-        fit = estimate(pair, estimator)
+        fit = estimate(pair, estimator, side_thread)
         if split_half:
             stability = split_half_stability(pair, config.seed)
         else:
@@ -371,7 +373,12 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
     runs ``max(1, n // max(threads, 2))`` threads, where n is its count
     when the sweep starts, and n is restored when the sweep returns or
     raises.  A one-thread sweep runs at a two-thread sweep's count, which
-    leaves the helper a core and makes the two agree bit for bit.
+    leaves the helper a core and makes the two agree bit for bit.  When
+    ``2 * threads`` times that count is at most n, which holds only for a
+    one-thread sweep with n of at least 2, every ``iterative_svd`` fit
+    runs its response view's loop on a side thread (``estimate``'s
+    ``side_thread``); on more workers a side loop would only contend
+    with them for the cores.
     ``SweepResult.blas_threads`` records the count the sweep ran at, None
     when numpy bundles no OpenBLAS.  The count is process-wide, so
     concurrent ``run_sweep`` calls from several Python threads are not
@@ -397,8 +404,15 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
         dataclasses.replace(c, seed=derive_seed(c.seed, "trial", t))
         for c in configs for t in range(spec.trials)]
 
+    ambient = blas.num_threads()
+    budget = None if ambient is None else max(1, ambient // max(threads, 2))
+    # an iterative_svd fit's side loop runs at the workers' BLAS count
+    # too, so it is worth a thread only where the sweep leaves cores idle
+    side_thread = ambient is not None and 2 * threads * budget <= ambient
+
     def _trial(config, source=pair_factory):
-        return run_trial(config, spec.estimator, spec.split_half, source)
+        return run_trial(config, spec.estimator, spec.split_half, source,
+                         side_thread)
 
     def _source_ahead(helper, k):
         # trial k's pair source: a custom factory, or the draws that the
@@ -408,8 +422,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
         draws = helper.submit(draw_pair, trial_configs[k])
         return lambda config: generate_pair(config, draws.result())
 
-    ambient = blas.num_threads()
-    budget = None if ambient is None else max(1, ambient // max(threads, 2))
     try:
         if budget is not None:
             blas.set_num_threads(budget)

@@ -266,27 +266,6 @@ def _hard_impute_by_svd(obs, mask, max_iter, tol):
     return completed, iterations
 
 
-def _hard_impute_by_allocation(obs, mask, max_iter, tol):
-    """Reference hard-impute loop that allocates its refill every step."""
-    completed = np.ascontiguousarray(_column_mean_impute(obs, mask))
-    flat = completed.reshape(-1)
-    missing = np.flatnonzero(~mask)
-    rows, cols = np.divmod(missing, completed.shape[1])
-    tall = completed.shape[0] >= completed.shape[1]
-    t = completed if tall else completed.T
-    t_rows, t_cols = (rows, cols) if tall else (cols, rows)
-    prev = flat[missing]
-    prev_norm = np.linalg.norm(prev)
-    for it in range(1, max_iter + 1):
-        v = estimators.top_eigenvector(t.T @ t)
-        cur = (t @ v)[t_rows] * v[t_cols]
-        flat[missing] = cur
-        if np.linalg.norm(cur - prev) <= tol * (prev_norm + np.finfo(float).tiny):
-            return completed, it
-        prev, prev_norm = cur, np.linalg.norm(cur)
-    return completed, max_iter
-
-
 def _em_pls_by_where(pair, kind):
     """Reference EM-PLS: refits the whole response through np.where."""
     n = pair.n_samples
@@ -324,9 +303,6 @@ def test_hard_impute_matches_truncated_svd(rows, cols):
     assert got_it == want_it
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
     np.testing.assert_array_equal(got[mask], obs[mask])
-    # the reused refill buffers change no bit of the loop
-    np.testing.assert_array_equal(
-        got, _hard_impute_by_allocation(obs, mask, 200, 1e-8)[0])
 
 
 @pytest.mark.parametrize("shape", [(40, 1), (1, 40)])
@@ -364,24 +340,6 @@ def test_em_pls_matches_whole_matrix_refit():
     assert got.value == want.value
 
 
-def test_em_pls_fills_fortran_ordered_views():
-    # the response refill writes through a flat view, which must not be a copy
-    cfg = ModelConfig(n_samples=300, dx=50, dy=40, theta=1.8,
-                      mask_x=MaskSpec("mcar", 0.3),
-                      mask_y=MaskSpec("mcar", 0.3), seed=5)
-    pair = generate_pair(cfg)
-    fortran = dataclasses.replace(
-        pair, **{name: np.asfortranarray(getattr(pair, name))
-                 for name in ("x_obs", "y_obs", "mask_x", "mask_y")})
-    kind = EstimatorKind("em_pls")
-    want, want_it = _em_pls_by_where(pair, kind)
-    got, got_it = _em_pls(fortran, kind)
-    assert got_it == want_it > 1
-    # column sums and products run in another order on Fortran-ordered input
-    np.testing.assert_allclose(got.left, want.left, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(got.right, want.right, rtol=0, atol=1e-10)
-
-
 @pytest.fixture
 def blas_restored():
     before = blas.num_threads()
@@ -405,7 +363,7 @@ def test_iterative_svd_matches_sequential_views(blas_restored, threads):
     y_comp, it_y = _hard_impute(pair.y_obs, pair.mask_y, kind.max_iter, kind.tol)
     want = top_singular_pair(x_comp.T @ y_comp / cfg.n_samples)
     before = threading.active_count()
-    got = estimate(pair, kind)
+    got = estimate(pair, kind, side_thread=True)
     assert threading.active_count() == before
     assert blas.num_threads() == threads
     assert got.iterations == it_x + it_y

@@ -236,6 +236,39 @@ def test_sweep_runs_on_its_share_of_blas_threads(blas_count, threads):
     assert blas.num_threads() == blas_count
 
 
+@pytest.mark.parametrize("ambient,threads,side", [
+    (4, 1, True), (2, 1, True), (4, 2, False), (4, 3, False), (1, 1, False),
+    (None, 1, False)])
+def test_iterative_svd_side_loop_runs_only_beside_idle_cores(
+        monkeypatch, ambient, threads, side):
+    # the side loop adds a BLAS caller per worker, so it runs only when
+    # the workers' share leaves as many threads idle
+    before = blas.num_threads()
+    if before is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    seen = set()
+    real = harness.estimate
+
+    def recording_estimate(pair, kind, side_thread=False):
+        seen.add(side_thread)
+        return real(pair, kind, side_thread)
+
+    monkeypatch.setattr(harness, "estimate", recording_estimate)
+    if ambient is None:
+        monkeypatch.setattr(blas, "_library", lambda: None)
+    else:
+        blas.set_num_threads(ambient)
+    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.5,)), trials=2,
+                     estimator=EstimatorKind("iterative_svd"))
+    try:
+        result = run_sweep(spec, threads=threads)
+    finally:
+        monkeypatch.undo()
+        blas.set_num_threads(before)
+    assert result.points[0].trials_effective == 2
+    assert seen == {side}
+
+
 def test_sweep_restores_blas_threads_when_it_raises(blas_count, monkeypatch):
     def failing_summary(*args, **kwargs):
         raise RuntimeError("synthetic failure")
@@ -584,9 +617,9 @@ def test_run_trial_hands_latents_to_the_oracle_only(monkeypatch, name):
     seen = []
     real = harness.estimate
 
-    def recording_estimate(pair, kind):
+    def recording_estimate(pair, kind, side_thread=False):
         seen.append((pair.x_latent is None, pair.y_latent is None))
-        return real(pair, kind)
+        return real(pair, kind, side_thread)
 
     monkeypatch.setattr(harness, "estimate", recording_estimate)
     trial = run_trial(_trial(_base(), 0), EstimatorKind(name), False)
@@ -611,7 +644,8 @@ def test_run_trial_tags_a_failed_iterative_svd_view_and_leaves_no_thread(
 
     monkeypatch.setattr(estimators, "_hard_impute", failing_view)
     before = threading.active_count()
-    trial = run_trial(_trial(base, 0), EstimatorKind("iterative_svd"), False)
+    trial = run_trial(_trial(base, 0), EstimatorKind("iterative_svd"), False,
+                      side_thread=True)
     assert trial.error == f"FloatingPointError: {view} view failed"
     assert threading.active_count() == before
 
