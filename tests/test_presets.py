@@ -388,6 +388,16 @@ _PINNED_BUILD = (
     "2.4.6",
     "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
 )
+_PINNED_EXP1_DIGESTS = {
+    "transition": "ab8350e6fed82c5148d78b97cf0905bf",
+}
+_PINNED_B2_DIGESTS = {
+    "mcar": "8dbd794f8ea16d848dd08990012934f1",
+    "signal_dependent": "026a7a9a0d6e32df9ac1b91780c14169",
+    "magnitude_dependent": "6cc15f586d22306b97cfee2a58c21d26",
+    "thresholded": "e0fbf80495c8514fb66acf56e8dc0150",
+    "correlated": "4310a117fca89227a66109bb155d65fd",
+}
 _PINNED_B3_DIGESTS = {
     "pls_svd_zero": "8ed070afd41ba3ab932539e3adc97e1a",
     "mean_impute": "9bf8d57e603be7511319b0609d5ba903",
@@ -397,21 +407,36 @@ _PINNED_B3_DIGESTS = {
 }
 
 
-def test_b3_baselines_digests_are_pinned():
-    # every estimator's loop at one BLAS thread, checked bit for bit
+def _desk_digests_at_one_blas_thread(preset: str) -> dict[str, str]:
+    """Each item's digest of the desk preset at seed 0, two trials and two
+    theta points, under one BLAS thread; skips off the pinned build."""
     build = (np.__version__, blas.config())
     if build != _PINNED_BUILD:
         pytest.skip(f"digests pinned on {_PINNED_BUILD}, running on {build}")
     before = blas.num_threads()
     blas.set_num_threads(1)
     try:
-        resolved = preset_config("b3_baselines", "desk",
+        resolved = preset_config(preset, "desk",
                                  {"seed": 0, "trials": 2, "theta_points": 2})
-        digests = {item.name: run_sweep(item.spec).digest
-                   for item in resolved.items}
+        return {item.name: run_sweep(item.spec).digest
+                for item in resolved.items}
     finally:
         blas.set_num_threads(before)
-    assert digests == _PINNED_B3_DIGESTS
+
+
+def test_exp1_transition_digest_is_pinned():
+    # whitening, planting and MCAR masks, checked bit for bit
+    assert _desk_digests_at_one_blas_thread("exp1_transition") == _PINNED_EXP1_DIGESTS
+
+
+def test_b2_mar_digests_are_pinned():
+    # every mask mechanism's link and draw, checked bit for bit
+    assert _desk_digests_at_one_blas_thread("b2_mar") == _PINNED_B2_DIGESTS
+
+
+def test_b3_baselines_digests_are_pinned():
+    # every estimator's loop at one BLAS thread, checked bit for bit
+    assert _desk_digests_at_one_blas_thread("b3_baselines") == _PINNED_B3_DIGESTS
 
 
 # ---------------------------------------------------------------------------
