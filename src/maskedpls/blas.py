@@ -156,12 +156,15 @@ def lower_inverse(low: np.ndarray) -> np.ndarray:
     return low
 
 
-def times_lower_transposed(a: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """``a @ low.T`` for a lower-triangular ``low``, in a new array.
+def times_lower_transposed(a: np.ndarray, low: np.ndarray,
+                           overwrite_a: bool = False) -> np.ndarray:
+    """``a @ low.T`` for a lower-triangular ``low``.
 
-    BLAS's ``dtrmm`` forms the product in place on a copy of ``a`` and
-    reads only ``low``'s lower triangle, which must be C-contiguous
-    float64.  Without the routine the result is numpy's ``a @ low.T``.
+    BLAS's ``dtrmm`` forms the product in place, on a copy of ``a``, or
+    on ``a`` itself with ``overwrite_a`` when ``a`` is a writeable
+    C-contiguous float64 array; it reads only ``low``'s lower triangle,
+    which must be C-contiguous float64.  Without the routine the result
+    is numpy's ``a @ low.T``, in a new array, and ``a`` is left as it is.
     """
     _check_triangle(low)
     rows, cols = a.shape
@@ -171,7 +174,9 @@ def times_lower_transposed(a: np.ndarray, low: np.ndarray) -> np.ndarray:
     fn = _dtrmm()
     if fn is None:
         return a @ low.T
-    b = np.array(a, dtype=np.float64, order="C")
+    in_place = (overwrite_a and a.dtype == np.float64 and a.flags.c_contiguous
+                and a.flags.writeable)
+    b = a if in_place else np.array(a, dtype=np.float64, order="C")
     fn(_ROW_MAJOR, _RIGHT, _LOWER, _TRANS, _NON_UNIT, rows, cols, 1.0,
        low, cols, b, cols)
     return b

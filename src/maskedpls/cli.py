@@ -61,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output format (default csv)")
     run.add_argument("--seed", type=int, default=None, help="base seed override")
     run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for trials (default 1); one thread "
-                          "draws each next trial on a helper thread and "
-                          "shares the BLAS threads as two do")
+                     help="worker threads for trials (default 1); 1 runs "
+                          "two workers and shares the BLAS threads as 2 "
+                          "does, with the same results")
     run.add_argument("--override", action="append", default=[],
                      metavar="KEY=VALUE", help="preset override, repeatable")
     run.add_argument("--check", action="store_true",

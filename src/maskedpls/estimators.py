@@ -8,7 +8,6 @@ completion, and an oracle that sees the unmasked data.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -65,8 +64,11 @@ def squared_overlaps(u_hat, v_hat, u0, v0) -> tuple[float, float]:
 
 
 def _column_mean_impute(obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """obs with each missing entry set to its column's observed mean; obs
+    is zero where mask is False, so its column sums are the observed
+    entries' sums."""
     counts = mask.sum(axis=0)
-    sums = np.where(mask, obs, 0.0).sum(axis=0)
+    sums = obs.sum(axis=0)
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     return np.where(mask, obs, means[None, :])
 
@@ -127,15 +129,8 @@ def _hard_impute(obs: np.ndarray, mask: np.ndarray, max_iter: int, tol: float):
     return completed, iterations
 
 
-def estimate(pair: MaskedPair, kind: EstimatorKind,
-             side_thread: bool = False) -> EstimateResult:
+def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
     """Run one estimator on one masked pair.
-
-    With ``side_thread``, ``iterative_svd`` runs the response view's loop
-    on a second thread, at the caller's BLAS count, while the caller runs
-    the design view's; the views share no data, so the result is the
-    same bit for bit.  The thread is joined before this returns or
-    raises.
 
     Non-convergence is not raised: the iterative refinements report it
     through the iteration count, and an unconverged leading pair (a
@@ -155,16 +150,8 @@ def estimate(pair: MaskedPair, kind: EstimatorKind,
     elif kind.name == "em_pls":
         triple, iterations = _em_pls(pair, kind)
     elif kind.name == "iterative_svd":
-        x_args = (pair.x_obs, pair.mask_x, kind.max_iter, kind.tol)
-        y_args = (pair.y_obs, pair.mask_y, kind.max_iter, kind.tol)
-        if side_thread:
-            with ThreadPoolExecutor(max_workers=1) as side:
-                y_loop = side.submit(_hard_impute, *y_args)
-                x_comp, it_x = _hard_impute(*x_args)
-                y_comp, it_y = y_loop.result()
-        else:
-            x_comp, it_x = _hard_impute(*x_args)
-            y_comp, it_y = _hard_impute(*y_args)
+        x_comp, it_x = _hard_impute(pair.x_obs, pair.mask_x, kind.max_iter, kind.tol)
+        y_comp, it_y = _hard_impute(pair.y_obs, pair.mask_y, kind.max_iter, kind.tol)
         triple = top_singular_pair(x_comp.T @ y_comp / n)
         iterations = it_x + it_y
     else:  # oracle

@@ -7,20 +7,15 @@ predictions.  Every trial's seed depends only on its (point, trial)
 coordinates, so the trials draw the same inputs at any harness thread
 count.  Their arithmetic is fixed by the numpy/OpenBLAS build and the
 BLAS thread count, because BLAS kernels may round differently under
-another count.  ``run_sweep`` runs OpenBLAS at
-``max(1, n // max(threads, 2))`` threads, n being its count when the
-sweep starts: a one-thread sweep leaves a share of the cores to the
-helper thread that draws its next trial, so it runs at the count of a
-two-thread sweep.  Results depend on the harness thread count only
+another count.  ``run_sweep`` runs its trials on ``max(threads, 2)``
+worker threads, so a one-thread sweep is a two-thread sweep, and runs
+OpenBLAS at ``max(1, n // max(threads, 2))`` threads, n being its count
+when the sweep starts.  Results depend on the harness thread count only
 through that BLAS count, so one- and two-thread sweeps agree bit for
 bit, and with OpenBLAS on one thread, results are identical for every
-harness thread count.  Where the workers' BLAS threads leave as many
-idle (a one-thread sweep on two or more), an ``iterative_svd`` fit runs
-its response view's loop on a second thread at the same BLAS count,
-beside the worker's design-view loop; each loop's arithmetic is
-unchanged, so results do not depend on it.  A trial hands every
-estimator but the oracle its pair without the latent complete views,
-which frees them before the fit.
+harness thread count.  A trial generates the pair of every estimator but
+the oracle without the latent complete views, whose memory then holds
+the observed ones.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ import numpy as np
 from . import blas
 from .estimators import EstimatorKind, estimate, split_half_stability
 from .streams import derive_seed
-from .synth import MaskedPair, ModelConfig, draw_pair, generate_pair
+from .synth import MaskedPair, ModelConfig, generate_pair
 from .theory import critical_threshold, predict
 
 AXIS_NAMES = ("theta", "theta_over_crit", "m_x", "m_y", "m_joint", "rho",
@@ -98,8 +93,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class TrialResult:
     """One trial's fit.  runtime is the wall time from the trial's start to
-    its fit; on one harness thread it does not include the draws made
-    ahead of the trial, only any wait for them."""
+    its fit, the trial's own draws included."""
 
     r2_x: float
     r2_y: float
@@ -192,27 +186,24 @@ def grid_assignments(spec: SweepSpec) -> list[dict[str, float]]:
 
 def run_trial(config: ModelConfig, estimator: EstimatorKind,
               split_half: bool,
-              pair_factory: PairFactory | None = None,
-              side_thread: bool = False) -> TrialResult:
+              pair_factory: PairFactory | None = None) -> TrialResult:
     """One independent draw and fit of the trial's own config.  Failures
     are tagged, not raised.
 
-    The pair is ``pair_factory(config)``, or ``generate_pair(config)``
-    when none is given; it is made inside the trial, so a pair source
-    that fails, a draw made ahead of the trial included, is tagged on it.
-    Only the oracle reads the pair's latent views, so every other
-    estimator gets the pair without them, and they are freed before the
-    fit.  ``side_thread`` is handed to ``estimate``.
+    The pair is ``pair_factory(config)``, used as it comes, or
+    ``generate_pair(config)`` when none is given; it is made inside the
+    trial, so a pair source that fails is tagged on it.  Only the oracle
+    reads the latent views, so for every other estimator the generated
+    pair leaves them out.
     """
     t0 = time.perf_counter()
     try:
         if pair_factory is None:
-            pair = generate_pair(config)
+            pair = generate_pair(config,
+                                 keep_latent=estimator.name == "oracle")
         else:
             pair = pair_factory(config)
-        if estimator.name != "oracle":
-            pair = dataclasses.replace(pair, x_latent=None, y_latent=None)
-        fit = estimate(pair, estimator, side_thread)
+        fit = estimate(pair, estimator)
         if split_half:
             stability = split_half_stability(pair, config.seed)
         else:
@@ -346,8 +337,8 @@ def _keep_trial_heap() -> None:
     By default glibc returns freed arrays above 128 KiB to the kernel, so
     each trial faults its working set back in.  With these thresholds
     arrays below 32 MiB are reused from the heap by the next trial.  One
-    arena makes the draw helper and the pool's workers allocate from that
-    same heap instead of growing one of their own.
+    arena makes the pool's workers allocate from that same heap instead
+    of growing one each.
     """
     fn = _mallopt()
     if fn is not None:
@@ -358,31 +349,22 @@ def _keep_trial_heap() -> None:
 
 def run_sweep(spec: SweepSpec, threads: int = 1,
               pair_factory: PairFactory | None = None) -> SweepResult:
-    """Run every trial of ``spec`` on ``threads`` worker threads and
-    aggregate them into points.
+    """Run every trial of ``spec`` on ``max(threads, 2)`` worker threads
+    and aggregate them into points.
 
     Trial t of a point runs on the point's config with the seed
-    ``derive_seed(point_seed, "trial", t)``, derived once per trial.  On
-    one worker thread a helper thread makes each trial's draws
-    (``draw_pair`` of that config) while the trial before it runs, never
-    more than one trial ahead; a custom ``pair_factory`` makes its own
-    draws in its trial.  On more worker threads each trial makes its own
-    draws.
+    ``derive_seed(point_seed, "trial", t)``, derived once per trial, and
+    makes its own draws on its worker.  A one-thread sweep runs two
+    workers, as a two-thread sweep does, so one trial draws while
+    another fits.
 
     The workers share OpenBLAS's threads: for the whole sweep OpenBLAS
     runs ``max(1, n // max(threads, 2))`` threads, where n is its count
     when the sweep starts, and n is restored when the sweep returns or
-    raises.  A one-thread sweep runs at a two-thread sweep's count, which
-    leaves the helper a core and makes the two agree bit for bit.  When
-    ``2 * threads`` times that count is at most n, which holds only for a
-    one-thread sweep with n of at least 2, every ``iterative_svd`` fit
-    runs its response view's loop on a side thread (``estimate``'s
-    ``side_thread``); on more workers a side loop would only contend
-    with them for the cores.
-    ``SweepResult.blas_threads`` records the count the sweep ran at, None
-    when numpy bundles no OpenBLAS.  The count is process-wide, so
-    concurrent ``run_sweep`` calls from several Python threads are not
-    supported.
+    raises.  ``SweepResult.blas_threads`` records the count the sweep
+    ran at, None when numpy bundles no OpenBLAS.  The count is
+    process-wide, so concurrent ``run_sweep`` calls from several Python
+    threads are not supported.
 
     The first sweep of a process sets glibc's malloc thresholds, mmap to
     32 MiB and trim to 64 MiB, and its arena count to 1, so that trials
@@ -404,40 +386,20 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
         dataclasses.replace(c, seed=derive_seed(c.seed, "trial", t))
         for c in configs for t in range(spec.trials)]
 
+    workers = max(threads, 2)
     ambient = blas.num_threads()
-    budget = None if ambient is None else max(1, ambient // max(threads, 2))
-    # an iterative_svd fit's side loop runs at the workers' BLAS count
-    # too, so it is worth a thread only where the sweep leaves cores idle
-    side_thread = ambient is not None and 2 * threads * budget <= ambient
+    budget = None if ambient is None else max(1, ambient // workers)
 
-    def _trial(config, source=pair_factory):
-        return run_trial(config, spec.estimator, spec.split_half, source,
-                         side_thread)
-
-    def _source_ahead(helper, k):
-        # trial k's pair source: a custom factory, or the draws that the
-        # helper starts now, assembled in the trial
-        if pair_factory is not None or k == len(trial_configs):
-            return pair_factory
-        draws = helper.submit(draw_pair, trial_configs[k])
-        return lambda config: generate_pair(config, draws.result())
+    def trial(config):
+        return run_trial(config, spec.estimator, spec.split_half, pair_factory)
 
     try:
         if budget is not None:
             blas.set_num_threads(budget)
-        # both branches keep trial order, so each point's trials are one
-        # contiguous slice
-        if threads == 1:
-            trials = []
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                ahead = _source_ahead(helper, 0)
-                for k, config in enumerate(trial_configs):
-                    # trial k+1's draws start as trial k starts
-                    source, ahead = ahead, _source_ahead(helper, k + 1)
-                    trials.append(_trial(config, source))
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                trials = list(pool.map(_trial, trial_configs))
+        # map keeps trial order, so each point's trials are one contiguous
+        # slice
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            trials = list(pool.map(trial, trial_configs))
         points = tuple(
             _summarize_point(assignments[i], spec, configs[i],
                              trials[i * spec.trials:(i + 1) * spec.trials])

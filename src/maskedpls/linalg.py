@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -69,14 +70,14 @@ def _canonical_signs(left: np.ndarray, right: np.ndarray):
     return left, right
 
 
-def _whiten_cholesky(a: np.ndarray):
+def _whiten_cholesky(a: np.ndarray, overwrite: bool):
     """CholeskyQR whitening sqrt(rows) * a @ inv(R), R from a.T @ a = R.T R.
 
     R.T is numpy's lower Cholesky factor L, so inv(R) = inv(L).T: LAPACK
-    inverts L in place and BLAS multiplies a copy of a by it in place,
-    both triangular (see blas.py).  Returns None unless the Cholesky
-    factorization succeeds, the condition bound holds and the result is
-    orthogonal to rounding level.
+    inverts L in place and BLAS multiplies by it in place, on a copy of
+    a or, with overwrite, on a itself, both triangular (see blas.py).
+    Returns None unless the Cholesky factorization succeeds, the
+    condition bound holds and the result is orthogonal to rounding level.
     """
     rows, cols = a.shape
     try:
@@ -90,7 +91,7 @@ def _whiten_cholesky(a: np.ndarray):
         return None
     # scale the inverse, not the product, as a @ (sqrt(rows) * inv(R)) did
     low_inv *= np.sqrt(rows)
-    w = blas.times_lower_transposed(a, low_inv)
+    w = blas.times_lower_transposed(a, low_inv, overwrite_a=overwrite)
     # max|W.T W / rows - I| in one cols x cols buffer
     g = w.T @ w
     g /= rows
@@ -100,7 +101,7 @@ def _whiten_cholesky(a: np.ndarray):
     return w
 
 
-def whiten(raw) -> np.ndarray:
+def whiten(raw, redraw: Callable[[], np.ndarray] | None = None) -> np.ndarray:
     """Rescale columns to an exactly whitened design.
 
     Returns W with W.T @ W == rows * identity: W = sqrt(rows) * Q for the
@@ -114,15 +115,23 @@ def whiten(raw) -> np.ndarray:
     an SVD rank check, which raises ValueError (naming the condition
     number) when the smallest singular value is at most 1e-10 times the
     largest.
+
+    With ``redraw`` the caller gives raw up: the fast path may write W
+    over it, and when the fast path rejects, ``redraw()`` must return
+    raw's values again for the QR path, so the result is bitwise the one
+    without ``redraw``.
     """
     a = _as_matrix(raw, "whiten")
     rows, cols = a.shape
     if rows < cols:
         raise ValueError(
             f"whiten requires rows >= cols, got {rows} x {cols}")
-    fast = _whiten_cholesky(a)
+    fast = _whiten_cholesky(a, overwrite=redraw is not None)
     if fast is not None:
         return fast
+    if redraw is not None:
+        # the fast path may have written over a
+        a = _as_matrix(redraw(), "whiten")
     q, r = np.linalg.qr(a, mode="reduced")
     # q has orthonormal columns, so the singular values of r equal those
     # of the input; the rank check is exact but much cheaper on r

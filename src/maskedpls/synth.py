@@ -3,9 +3,11 @@ noise families, and observation masks (MCAR and data-dependent).
 
 Draw layout: every pair is generated from named substreams of one seed
 (design, directions, noise, mask_x, mask_y), so changing any one
-ingredient (e.g. mask rates) never perturbs the others.  draw_pair makes
-every draw that does not depend on the data, and generate_pair whitens,
-plants and masks them, so the draws can be made ahead of the assembly.
+ingredient (e.g. mask rates) never perturbs the others, and the order in
+which a pair makes its draws does not change their values.
+generate_pair whitens its design in place and draws the noise after
+it, and a pair made without its latent views writes the observed views
+over them, so a trial holds one copy of each view.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ _NEWTON_STEP_TOL = 1e-8
 # heteroskedastic noise: per-column variances drawn uniformly from this
 # range, which averages to 1 (unit variance in expectation)
 _HETEROSKEDASTIC_VARIANCES = (0.5, 1.5)
-# an MCAR mask is drawn and compared this many uniforms at a time, so no
-# view-sized float array is allocated
+# masks are drawn, and the planted signal and the data-dependent link are
+# formed, this many entries at a time (in whole rows, but for an MCAR
+# mask), so that no view-sized scratch array is allocated
 _MASK_CHUNK = 1 << 14
 
 
@@ -124,7 +127,8 @@ class MaskedPair:
     x_obs / y_obs are missing-as-zero observed matrices; mask_x / mask_y
     are True where observed.  The latent complete matrices are retained
     so oracle estimators and diagnostics can access them; they are None
-    in a pair handed to any other estimator.
+    in a pair generated without them, which every estimator but the
+    oracle gets.
     """
 
     x_obs: np.ndarray
@@ -140,31 +144,6 @@ class MaskedPair:
     @property
     def n_samples(self) -> int:
         return self.x_obs.shape[0]
-
-
-@dataclass
-class PairDraws:
-    """The random inputs of one pair that do not depend on its data.
-
-    design holds the raw Gaussian design, before whitening; u0 and v0
-    are the unit planted directions.  A mask is None where its mechanism
-    needs the data, and the pair then draws it.  generate_pair takes
-    each array out as it uses it, so the array is freed once its
-    consumer returns even while this object is still referenced.
-    """
-
-    design: np.ndarray | None
-    u0: np.ndarray
-    v0: np.ndarray
-    noise: np.ndarray | None
-    mask_x: np.ndarray | None
-    mask_y: np.ndarray | None
-
-    def take(self, name: str):
-        """The named draw, which this object then no longer holds."""
-        value = getattr(self, name)
-        setattr(self, name, None)
-        return value
 
 
 def sample_noise(spec: NoiseSpec, rows: int, cols: int, seed: int) -> np.ndarray:
@@ -214,9 +193,16 @@ def _standardize(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _solve_intercept(scores: np.ndarray, strength: float, target: float) -> float:
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Consecutive row slices of a rows x cols array, each of at most
+    _MASK_CHUNK entries and at least one row."""
+    step = max(1, _MASK_CHUNK // cols)
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
+def _solve_intercept(shift: np.ndarray, target: float) -> float:
     """Solve for the link intercept b at which the mean missing probability
-    mean(sigmoid(b + strength * scores)) equals target.
+    mean(sigmoid(b + shift)) equals target; shift is strength * scores.
 
     Safeguarded Newton on the increasing mean-sigmoid f, whose slope is
     f' = mean(p (1 - p)).  It starts from logit(target) and keeps a
@@ -224,18 +210,21 @@ def _solve_intercept(scores: np.ndarray, strength: float, target: float) -> floa
     bisects it instead.  Since |f''| <= f', a Newton step s leaves an
     error of about s**2 / 2, so it stops after a step below
     _NEWTON_STEP_TOL (the result is then within float64 rounding of the
-    root) or on f == 0.  Every step reuses the same two view-sized
-    buffers.
+    root) or on f == 0.  Every step reuses one buffer of shift's shape,
+    which holds p and then p (1 - p), each filled in row blocks beside a
+    block-sized scratch; shift is only read.
     """
-    shift = strength * scores
     span = max(float(shift.max()), -float(shift.min())) if shift.size else 0.0
     lo, hi = -span - 40.0, span + 40.0
     b = float(np.clip(np.log(target / (1.0 - target)), lo, hi))
-    p = np.empty_like(shift)
-    w = np.empty_like(shift)
+    p = np.empty(shift.shape)
+    blocks = _row_blocks(*shift.shape)
+    scratch = np.empty_like(p[blocks[0]])
     for _ in range(_INTERCEPT_MAX_STEPS):
-        np.add(b, shift, out=p)
-        _sigmoid(p, out=p, scratch=w)
+        for block in blocks:
+            p_block = p[block]
+            np.add(b, shift[block], out=p_block)
+            _sigmoid(p_block, out=p_block, scratch=scratch[:len(p_block)])
         f = float(p.mean()) - target
         if f == 0.0:
             return b
@@ -243,9 +232,11 @@ def _solve_intercept(scores: np.ndarray, strength: float, target: float) -> floa
             lo = b
         else:
             hi = b
-        np.subtract(1.0, p, out=w)
-        np.multiply(p, w, out=w)
-        slope = float(w.mean())
+        for block in blocks:
+            p_block = p[block]
+            w = np.subtract(1.0, p_block, out=scratch[:len(p_block)])
+            np.multiply(p_block, w, out=p_block)
+        slope = float(p.mean())
         step = -f / slope if slope > 0.0 else np.inf
         if abs(step) <= _NEWTON_STEP_TOL:
             return b + step
@@ -325,11 +316,21 @@ def sample_mask(spec: MaskSpec, data_context, rows: int, cols: int,
             # data-dependent spec as context-free
             _mar_scores(spec, data_context, rows, cols)
         return _mcar_mask(rng, rows, cols, spec.target_rate)
-    scores = _mar_scores(spec, data_context, rows, cols)
-    intercept = _solve_intercept(scores, spec.strength, spec.target_rate)
-    z = spec.strength * scores
-    z += intercept
-    return rng.random((rows, cols)) >= _sigmoid(z, out=z)
+    shift = _mar_scores(spec, data_context, rows, cols)
+    shift *= spec.strength
+    intercept = _solve_intercept(shift, spec.target_rate)
+    # rng.random((rows, cols)) >= sigmoid(shift + intercept), bit for bit,
+    # a block of rows at a time
+    mask = np.empty((rows, cols), dtype=bool)
+    blocks = _row_blocks(rows, cols)
+    uniforms = np.empty((blocks[0].stop, cols))
+    z = np.empty((blocks[0].stop, shift.shape[1]))
+    for block in blocks:
+        count = block.stop - block.start
+        u = rng.random(out=uniforms[:count])
+        p = np.add(shift[block], intercept, out=z[:count])
+        np.greater_equal(u, _sigmoid(p, out=p), out=mask[block])
+    return mask
 
 
 def _view_specs(config: ModelConfig) -> tuple[MaskSpec, MaskSpec]:
@@ -357,29 +358,44 @@ def _view_context(spec: MaskSpec, own_latent: np.ndarray,
 
 
 def _plant(x_star: np.ndarray, u0: np.ndarray, v0: np.ndarray,
-           config: ModelConfig, noise: np.ndarray, sx: np.ndarray | None,
-           sy: np.ndarray | None) -> MaskedPair:
-    """Plant the signal in the whitened design x_star, add noise and mask
-    the views with the observation masks sx and sy, drawing either one
-    that is None."""
+           config: ModelConfig, noise: np.ndarray,
+           keep_latent: bool) -> MaskedPair:
+    """Plant the signal in the whitened design x_star, add noise, draw the
+    observation masks and mask the views.
+
+    The response is formed in noise's memory, so callers pass noise as
+    its only reference.  Without keep_latent the observed views are written over the latent
+    ones, x_star included, which the pair then does not hold; that is for
+    a caller that owns x_star.
+    """
     n, dx, dy = config.n_samples, config.dx, config.dy
     signal_scores = x_star @ u0
-    # theta * outer + noise, bit for bit, without a second view-sized array
-    y_star = np.outer(signal_scores, v0)
-    y_star *= config.theta
-    y_star += noise
-    del noise  # callers pass the only reference, so it is freed here
+    # theta * np.outer(signal_scores, v0) + noise, bit for bit, a block of
+    # rows at a time
+    y_star = noise
+    blocks = _row_blocks(n, dy)
+    scratch = np.empty((blocks[0].stop, dy))
+    for block in blocks:
+        signal = np.multiply(signal_scores[block, None], v0,
+                             out=scratch[:block.stop - block.start])
+        signal *= config.theta
+        y_star[block] += signal
 
     spec_x, spec_y = _view_specs(config)
-    if sx is None:
-        sx = sample_mask(spec_x, _view_context(spec_x, x_star, y_star, None),
-                         n, dx, derive_seed(config.seed, "mask_x"))
-    if sy is None:
-        sy = sample_mask(spec_y, _view_context(spec_y, y_star, x_star, signal_scores),
-                         n, dy, derive_seed(config.seed, "mask_y"))
+    sx = sample_mask(spec_x, _view_context(spec_x, x_star, y_star, None),
+                     n, dx, derive_seed(config.seed, "mask_x"))
+    sy = sample_mask(spec_y, _view_context(spec_y, y_star, x_star, signal_scores),
+                     n, dy, derive_seed(config.seed, "mask_y"))
+    if keep_latent:
+        x_obs, y_obs = np.where(sx, x_star, 0.0), np.where(sy, y_star, 0.0)
+    else:
+        # np.where(mask, view, 0.0), bit for bit, in the view's own memory
+        np.copyto(x_star, 0.0, where=~sx)
+        np.copyto(y_star, 0.0, where=~sy)
+        x_obs, y_obs, x_star, y_star = x_star, y_star, None, None
     return MaskedPair(
-        x_obs=np.where(sx, x_star, 0.0),
-        y_obs=np.where(sy, y_star, 0.0),
+        x_obs=x_obs,
+        y_obs=y_obs,
         mask_x=sx,
         mask_y=sy,
         u0=u0,
@@ -410,46 +426,33 @@ def planted_pair(design, u0, v0, config: ModelConfig) -> MaskedPair:
         if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
             raise ValueError(f"planted direction {name} must have unit norm")
     return _plant(x_star, u0, v0, config,
-                  sample_noise(config.noise, n, dy, config.seed), None, None)
+                  sample_noise(config.noise, n, dy, config.seed), True)
 
 
-def draw_pair(config: ModelConfig) -> PairDraws:
-    """Every random input of config's pair that does not depend on its data.
+def generate_pair(config: ModelConfig, keep_latent: bool = True) -> MaskedPair:
+    """One masked two-view dataset from the generative model.
 
-    The raw Gaussian design and the unit planted directions, drawn on the
-    sphere, each from its own substream of config.seed; the noise; and
-    each view's mask whose mechanism is MCAR, drawn without a context.
+    Draws a Gaussian design and whitens it exactly, draws unit planted
+    directions on the sphere, plants the signal along them, adds the
+    noise and masks both views, each draw from its own substream of
+    config.seed.  Without keep_latent the pair holds only the observed
+    views, written over the latent ones.
     """
     n, dx, dy = config.n_samples, config.dx, config.dy
-    design = substream(config.seed, "design").standard_normal((n, dx))
+
+    def design():
+        return substream(config.seed, "design").standard_normal((n, dx))
+
+    # the design is this call's own, so whitening may write over it
+    x_star = whiten(design(), redraw=design)
     rng = substream(config.seed, "directions")
     u0 = rng.standard_normal(dx)
     v0 = rng.standard_normal(dy)
-    noise = sample_noise(config.noise, n, dy, config.seed)
-    # a data-dependent mask needs the pair, so the pair draws it
-    masks = [sample_mask(spec, None, n, d, derive_seed(config.seed, key))
-             if spec.mechanism == "mcar" else None
-             for spec, d, key in zip(_view_specs(config), (dx, dy),
-                                     ("mask_x", "mask_y"))]
-    return PairDraws(design=design, u0=u0 / np.linalg.norm(u0),
-                     v0=v0 / np.linalg.norm(v0), noise=noise,
-                     mask_x=masks[0], mask_y=masks[1])
-
-
-def generate_pair(config: ModelConfig,
-                  draws: PairDraws | None = None) -> MaskedPair:
-    """One masked two-view dataset from the generative model.
-
-    Whitens draws' design exactly, plants the signal along its
-    directions, adds its noise and masks both views.  draws must come
-    from draw_pair(config), which is called here when none are given;
-    the arrays are taken out of draws as they are used.
-    """
-    if draws is None:
-        draws = draw_pair(config)
-    x_star = whiten(draws.take("design"))
-    return _plant(x_star, draws.u0, draws.v0, config, draws.take("noise"),
-                  draws.take("mask_x"), draws.take("mask_y"))
+    # the noise is drawn after whitening, so that it is not held beside
+    # the whitening's temporaries, and passed on as its only reference
+    return _plant(x_star, u0 / np.linalg.norm(u0), v0 / np.linalg.norm(v0),
+                  config, sample_noise(config.noise, n, dy, config.seed),
+                  keep_latent)
 
 
 def prepare_semi_synthetic(x_real, y_real, target_dims: int):

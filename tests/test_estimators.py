@@ -305,6 +305,30 @@ def test_hard_impute_matches_truncated_svd(rows, cols):
     np.testing.assert_array_equal(got[mask], obs[mask])
 
 
+@pytest.mark.parametrize("mechanism", ["mcar", "magnitude_dependent"])
+def test_column_mean_impute_is_the_masked_sum_formula(mechanism):
+    # observed views hold zeros where they are missing, so the column sums
+    # need no masked copy of the view
+    def by_masked_copy(obs, mask):
+        counts = mask.sum(axis=0)
+        sums = np.where(mask, obs, 0.0).sum(axis=0)
+        means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+        return np.where(mask, obs, means[None, :])
+
+    cfg = ModelConfig(n_samples=700, dx=90, dy=60, theta=1.5,
+                      mask_x=MaskSpec(mechanism, 0.3, 0.8),
+                      mask_y=MaskSpec(mechanism, 0.6, 0.8), seed=17)
+    for keep_latent in (True, False):
+        pair = generate_pair(cfg, keep_latent=keep_latent)
+        for obs, mask in ((pair.x_obs, pair.mask_x), (pair.y_obs, pair.mask_y)):
+            want = by_masked_copy(obs, mask)
+            assert _column_mean_impute(obs, mask).tobytes() == want.tobytes()
+    # a column with no observed entry keeps zeros
+    obs = np.array([[1.0, 0.0], [3.0, 0.0]])
+    mask = np.array([[True, False], [True, False]])
+    assert _column_mean_impute(obs, mask).tobytes() == by_masked_copy(obs, mask).tobytes()
+
+
 @pytest.mark.parametrize("shape", [(40, 1), (1, 40)])
 def test_hard_impute_full_rank_is_a_no_op(shape):
     obs, mask = _low_rank_masked(*shape, (5.0,), seed=3)
@@ -351,8 +375,8 @@ def blas_restored():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_iterative_svd_matches_sequential_views(blas_restored, threads):
-    # the response view runs on a side thread; each view's loop must give
-    # what it gives alone, bit for bit
+    # each view's loop must give what it gives alone, bit for bit, on the
+    # calling thread
     blas.set_num_threads(threads)
     cfg = ModelConfig(n_samples=400, dx=150, dy=90, theta=1.5,
                       mask_x=MaskSpec("mcar", 0.3),
@@ -363,7 +387,7 @@ def test_iterative_svd_matches_sequential_views(blas_restored, threads):
     y_comp, it_y = _hard_impute(pair.y_obs, pair.mask_y, kind.max_iter, kind.tol)
     want = top_singular_pair(x_comp.T @ y_comp / cfg.n_samples)
     before = threading.active_count()
-    got = estimate(pair, kind, side_thread=True)
+    got = estimate(pair, kind)
     assert threading.active_count() == before
     assert blas.num_threads() == threads
     assert got.iterations == it_x + it_y

@@ -229,31 +229,38 @@ def test_sweep_runs_on_its_share_of_blas_threads(blas_count, threads):
 
     spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
     result = run_sweep(spec, threads=threads, pair_factory=recording_factory)
-    # a one-thread sweep leaves its draw helper a share, as two threads do
+    # a one-thread sweep runs two workers, and shares as two threads do
     share = max(1, blas_count // max(threads, 2))
     assert seen == [share] * 6
     assert result.blas_threads == share
     assert blas.num_threads() == blas_count
 
 
-@pytest.mark.parametrize("ambient,threads,side", [
-    (4, 1, True), (2, 1, True), (4, 2, False), (4, 3, False), (1, 1, False),
-    (None, 1, False)])
-def test_iterative_svd_side_loop_runs_only_beside_idle_cores(
-        monkeypatch, ambient, threads, side):
-    # the side loop adds a BLAS caller per worker, so it runs only when
-    # the workers' share leaves as many threads idle
+@pytest.mark.parametrize("ambient,threads", [
+    (4, 1), (2, 1), (4, 2), (4, 3), (1, 1), (None, 1)])
+def test_iterative_svd_fits_both_views_on_its_trial_worker(
+        monkeypatch, ambient, threads):
+    # a sweep's workers take every BLAS thread, so a fit starts no thread
+    # of its own at any OpenBLAS count
     before = blas.num_threads()
     if before is None:
         pytest.skip("numpy bundles no OpenBLAS")
-    seen = set()
-    real = harness.estimate
+    lock = threading.Lock()
+    trial_threads, view_threads = set(), []
+    real_trial, real_impute = harness.run_trial, estimators._hard_impute
 
-    def recording_estimate(pair, kind, side_thread=False):
-        seen.add(side_thread)
-        return real(pair, kind, side_thread)
+    def recording_trial(*args, **kwargs):
+        with lock:
+            trial_threads.add(threading.current_thread())
+        return real_trial(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "estimate", recording_estimate)
+    def recording_impute(*args, **kwargs):
+        with lock:
+            view_threads.append(threading.current_thread())
+        return real_impute(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", recording_trial)
+    monkeypatch.setattr(estimators, "_hard_impute", recording_impute)
     if ambient is None:
         monkeypatch.setattr(blas, "_library", lambda: None)
     else:
@@ -266,7 +273,8 @@ def test_iterative_svd_side_loop_runs_only_beside_idle_cores(
         monkeypatch.undo()
         blas.set_num_threads(before)
     assert result.points[0].trials_effective == 2
-    assert seen == {side}
+    assert len(view_threads) == 4  # two views in each of two trials
+    assert set(view_threads) <= trial_threads
 
 
 def test_sweep_restores_blas_threads_when_it_raises(blas_count, monkeypatch):
@@ -299,7 +307,33 @@ def test_one_and_two_thread_sweeps_agree_bit_for_bit(blas_count):
 
 
 # ---------------------------------------------------------------------------
-# draws made one trial ahead
+# trial workers: a one-thread sweep runs two
+
+
+def test_one_thread_sweep_runs_two_trial_workers_and_leaves_none(monkeypatch):
+    # the first two trials wait for each other, so they must overlap
+    lock = threading.Lock()
+    meet = threading.Barrier(2, timeout=30)
+    ran_on = []
+    real = harness.run_trial
+
+    def recording_trial(*args, **kwargs):
+        with lock:
+            ran_on.append(threading.current_thread())
+            first_two = len(ran_on) <= 2
+        if first_two:
+            meet.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", recording_trial)
+    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
+    before = threading.active_count()
+    result = run_sweep(spec, threads=1)
+    assert threading.active_count() == before
+    assert len(ran_on) == 6 and len(set(ran_on)) == 2
+    assert threading.main_thread() not in ran_on
+    monkeypatch.undo()
+    assert {run_sweep(spec, threads=t).digest for t in (2, 3)} == {result.digest}
 
 
 def test_a_failing_draw_is_tagged_on_its_own_trial(monkeypatch):
@@ -316,31 +350,34 @@ def test_a_failing_draw_is_tagged_on_its_own_trial(monkeypatch):
 
     monkeypatch.setattr(synth, "sample_noise", failing_noise)
     first, second = run_sweep(spec).points
-    assert threading.main_thread() not in drawn_on  # drawn by the helper
+    assert threading.main_thread() not in drawn_on  # drawn by a worker
     assert first.trials_effective == 3 and first.errors == ()
     assert second.trials_effective == 2
     assert second.errors == ("RuntimeError: noise draw failed",)
 
 
 def test_draws_run_at_most_one_trial_ahead(monkeypatch):
+    # each trial draws on its own worker, and a one-thread sweep's two
+    # workers start a trial's draws only once all but one earlier trial
+    # has finished
     lock = threading.Lock()
     finished = []
     lead = []  # per draw: its index minus the trials finished when it began
-    draw, trial = harness.draw_pair, harness.run_trial
+    draw, trial = harness.generate_pair, harness.run_trial
 
-    def recording_draw(config):
+    def recording_draw(config, **kwargs):
         with lock:
             lead.append(len(lead) - len(finished))
-        return draw(config)
+        return draw(config, **kwargs)
 
     def slow_trial(*args, **kwargs):
-        time.sleep(0.01)  # leaves the helper time to run further ahead
+        time.sleep(0.01)  # leaves the other worker time to run further ahead
         result = trial(*args, **kwargs)
         with lock:
             finished.append(result)
         return result
 
-    monkeypatch.setattr(harness, "draw_pair", recording_draw)
+    monkeypatch.setattr(harness, "generate_pair", recording_draw)
     monkeypatch.setattr(harness, "run_trial", slow_trial)
     spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=4)
     result = run_sweep(spec)
@@ -349,24 +386,32 @@ def test_draws_run_at_most_one_trial_ahead(monkeypatch):
 
 
 def test_a_custom_pair_factory_draws_in_its_trial(monkeypatch):
-    def no_draw_ahead(config):
+    def no_generated_pair(config, **kwargs):
         raise AssertionError("a custom factory's trials draw for themselves")
 
-    monkeypatch.setattr(harness, "draw_pair", no_draw_ahead)
+    made_on = []
+
+    def factory(config):
+        made_on.append(threading.current_thread())
+        return generate_pair(config)
+
+    monkeypatch.setattr(harness, "generate_pair", no_generated_pair)
     spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=2)
-    result = run_sweep(spec, pair_factory=generate_pair)
+    result = run_sweep(spec, pair_factory=factory)
     assert all(p.trials_effective == 2 for p in result.points)
+    assert len(made_on) == 4 and threading.main_thread() not in made_on
 
 
 _PIPELINE_CHILD = """
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from maskedpls import harness
 from maskedpls.harness import Axis, SweepSpec, run_sweep
 from maskedpls.synth import (MASK_MECHANISMS, NOISE_KINDS, MaskSpec, ModelConfig,
                              NoiseSpec)
 if sys.argv[1] == "in-trial":
-    # a draw ahead that returns nothing leaves generate_pair to draw in the trial
-    harness.draw_pair = lambda config: None
+    # one worker runs the trials one after another
+    harness.ThreadPoolExecutor = lambda max_workers: ThreadPoolExecutor(1)
 for mechanism in MASK_MECHANISMS:
     for kind in NOISE_KINDS:
         base = ModelConfig(n_samples=240, dx=40, dy=24, theta=1.5,
@@ -379,6 +424,7 @@ for mechanism in MASK_MECHANISMS:
 
 
 def test_pipelined_digests_equal_in_trial_draws():
+    # two overlapping trials give what the same trials give in sequence
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     outputs = []
     for mode in ("pipelined", "in-trial"):
@@ -617,9 +663,9 @@ def test_run_trial_hands_latents_to_the_oracle_only(monkeypatch, name):
     seen = []
     real = harness.estimate
 
-    def recording_estimate(pair, kind, side_thread=False):
+    def recording_estimate(pair, kind):
         seen.append((pair.x_latent is None, pair.y_latent is None))
-        return real(pair, kind, side_thread)
+        return real(pair, kind)
 
     monkeypatch.setattr(harness, "estimate", recording_estimate)
     trial = run_trial(_trial(_base(), 0), EstimatorKind(name), False)
@@ -631,8 +677,7 @@ def test_run_trial_hands_latents_to_the_oracle_only(monkeypatch, name):
 @pytest.mark.parametrize("view", ["x", "y"])
 def test_run_trial_tags_a_failed_iterative_svd_view_and_leaves_no_thread(
         monkeypatch, view):
-    # the response view's loop runs on a side thread, which must be
-    # joined when either view raises
+    # either view's failure is the trial's, and no thread outlives it
     real = estimators._hard_impute
     base = _base()
     width = base.dx if view == "x" else base.dy
@@ -644,8 +689,7 @@ def test_run_trial_tags_a_failed_iterative_svd_view_and_leaves_no_thread(
 
     monkeypatch.setattr(estimators, "_hard_impute", failing_view)
     before = threading.active_count()
-    trial = run_trial(_trial(base, 0), EstimatorKind("iterative_svd"), False,
-                      side_thread=True)
+    trial = run_trial(_trial(base, 0), EstimatorKind("iterative_svd"), False)
     assert trial.error == f"FloatingPointError: {view} view failed"
     assert threading.active_count() == before
 

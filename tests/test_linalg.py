@@ -121,6 +121,53 @@ def test_whiten_cholesky_path_matches_qr_reference(shape, monkeypatch):
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
 
 
+def _cond_1e3(rows: int, cols: int) -> np.ndarray:
+    # inside the 1e6 condition bound, but CholeskyQR's orthogonality error,
+    # about cond**2 * eps, is far above 64 eps
+    rng = substream(24, "whiten-cond-1e3")
+    left, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
+    right, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    return left @ np.diag(np.logspace(0.0, -3.0, cols)) @ right
+
+
+@pytest.mark.parametrize("numpy_only", [False, True])
+@pytest.mark.parametrize("case", ["gaussian", "cond_1e3"])
+def test_whiten_in_place_is_whiten_of_a_copy(case, numpy_only, monkeypatch,
+                                             request):
+    if numpy_only:
+        request.getfixturevalue("without_openblas")
+    if case == "gaussian":
+        raw = substream(25, "whiten-in-place").standard_normal((1000, 200))
+    else:
+        raw = _cond_1e3(400, 20)
+    want = whiten(raw.copy())
+    redraws = []
+
+    def redraw():
+        redraws.append(1)
+        return raw.copy()
+
+    products = []
+    times_lower = blas.times_lower_transposed
+
+    def counting_product(*args, **kwargs):
+        products.append(1)
+        return times_lower(*args, **kwargs)
+
+    monkeypatch.setattr(blas, "times_lower_transposed", counting_product)
+    qr_calls = _count_qr_calls(monkeypatch)
+    given = raw.copy()
+    got = whiten(given, redraw=redraw)
+    assert got.tobytes() == want.tobytes()
+    # the fast path formed its product in both cases, so a fallback is the
+    # orthogonality check's
+    assert len(products) == 1
+    fell_back = case == "cond_1e3"
+    assert len(qr_calls) == len(redraws) == fell_back
+    if not fell_back and not numpy_only:
+        assert got is given  # whitened in the caller's memory
+
+
 @pytest.mark.skipif(blas.config() is None, reason="numpy bundles no OpenBLAS")
 def test_bundled_openblas_exports_the_triangular_routines():
     # without them whitening silently falls back to inv and a full product

@@ -8,7 +8,8 @@ import pytest
 from maskedpls import synth
 from maskedpls.matio import write_matrix
 from maskedpls.presets import preset_config
-from maskedpls.streams import substream
+from maskedpls.linalg import whiten
+from maskedpls.streams import derive_seed, substream
 from maskedpls.synth import (
     MASK_MECHANISMS,
     NOISE_KINDS,
@@ -16,7 +17,6 @@ from maskedpls.synth import (
     MaskSpec,
     ModelConfig,
     NoiseSpec,
-    draw_pair,
     generate_pair,
     planted_pair,
     prepare_semi_synthetic,
@@ -316,7 +316,7 @@ def test_intercept_matches_bisection_reference(target, monkeypatch):
         ref = _bisect_intercept(scores, 1.0, target)
         monkeypatch.setattr(synth, "_sigmoid", counting)
         calls.clear()
-        got = synth._solve_intercept(scores, 1.0, target)
+        got = synth._solve_intercept(scores, target)
         assert len(calls) <= 20, (mech, len(calls))
         mask = sample_mask(spec, ctx, rows, cols, seed=4)
         monkeypatch.setattr(synth, "_sigmoid", sigmoid)
@@ -331,24 +331,26 @@ def test_intercept_row_scores_match_full_matrix():
     rows, cols = 500, 40
     col = substream(5, "row-scores").standard_normal((rows, 1))
     for target in (0.01, 0.3, 0.95):
-        compact = synth._solve_intercept(col, 0.7, target)
+        shift = 0.7 * col
+        compact = synth._solve_intercept(shift, target)
         broadcast = synth._solve_intercept(
-            np.broadcast_to(col, (rows, cols)), 0.7, target)
-        full = synth._solve_intercept(np.repeat(col, cols, axis=1), 0.7, target)
+            np.broadcast_to(shift, (rows, cols)), target)
+        full = synth._solve_intercept(np.repeat(shift, cols, axis=1), target)
         assert abs(compact - broadcast) <= 1e-12
         assert abs(compact - full) <= 1e-12
 
 
 def test_mar_link_reuses_its_buffers():
-    # the intercept solve holds shift and two reused buffers; the mask
-    # adds the uniforms, the scores and the final probabilities
+    # the intercept solve holds one view-sized buffer beside block-sized
+    # scratch; the mask adds the scores, which become the shift, and the
+    # standardization's temporaries, but no view-sized uniforms
     rows, cols = 1000, 200
     ctx = substream(3, "mar-memory").standard_normal((rows, cols))
     spec = MaskSpec("magnitude_dependent", 0.3, 1.0)
     scores = synth._mar_scores(spec, ctx, rows, cols)
     calls = {
-        "solve": (lambda: synth._solve_intercept(scores, 1.0, 0.3), 4.0),
-        "mask": (lambda: sample_mask(spec, ctx, rows, cols, seed=4), 6.0),
+        "solve": (lambda: synth._solve_intercept(scores, 0.3), 1.5),
+        "mask": (lambda: sample_mask(spec, ctx, rows, cols, seed=4), 3.0),
     }
     for name, (call, bound) in calls.items():
         tracemalloc.start()
@@ -358,6 +360,67 @@ def test_mar_link_reuses_its_buffers():
         finally:
             tracemalloc.stop()
         assert peak <= bound * scores.nbytes, (name, peak / scores.nbytes)
+
+
+def _solve_intercept_by_full_view(scores, strength, target):
+    """Reference intercept solve: the same safeguarded Newton steps on
+    view-sized shift, probability and slope arrays."""
+    shift = strength * scores
+    span = max(float(shift.max()), -float(shift.min()))
+    lo, hi = -span - 40.0, span + 40.0
+    b = float(np.clip(np.log(target / (1.0 - target)), lo, hi))
+    for _ in range(synth._INTERCEPT_MAX_STEPS):
+        p = synth._sigmoid(b + shift)
+        f = float(p.mean()) - target
+        if f == 0.0:
+            return b
+        if f < 0.0:
+            lo = b
+        else:
+            hi = b
+        slope = float((p * (1.0 - p)).mean())
+        step = -f / slope if slope > 0.0 else np.inf
+        if abs(step) <= synth._NEWTON_STEP_TOL:
+            return b + step
+        b = b + step if lo < b + step < hi else 0.5 * (lo + hi)
+    return b
+
+
+def _mask_by_full_view(spec, ctx, rows, cols, seed):
+    """Reference mask: the whole view's uniforms against the whole view's
+    probabilities."""
+    rng = substream(seed, "mask")
+    if spec.mechanism == "mcar" or spec.strength == 0.0:
+        return rng.random((rows, cols)) >= spec.target_rate
+    scores = synth._mar_scores(spec, ctx, rows, cols)
+    intercept = _solve_intercept_by_full_view(scores, spec.strength,
+                                              spec.target_rate)
+    return rng.random((rows, cols)) >= synth._sigmoid(
+        spec.strength * scores + intercept)
+
+
+@pytest.mark.parametrize("shape", [
+    (1000, 60),   # several blocks of rows, the last one partial
+    (16500, 3),   # row scores in more than one block, the last one partial
+])
+@pytest.mark.parametrize("strength", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("mechanism", MASK_MECHANISMS)
+def test_blocked_mask_is_the_whole_view_formula(mechanism, strength, shape):
+    rows, cols = shape
+    assert rows % max(1, synth._MASK_CHUNK // cols) != 0
+    rng = substream(8, "blocked-mask", rows)
+    contexts = {"signal_dependent": rng.standard_normal(rows),
+                "correlated": rng.standard_normal((rows, 7))}
+    ctx = contexts.get(mechanism, rng.standard_normal((rows, cols)))
+    spec = MaskSpec(mechanism, 0.35, strength)
+    want = _mask_by_full_view(spec, ctx, rows, cols, seed=12)
+    got = sample_mask(spec, ctx, rows, cols, seed=12)
+    assert got.shape == shape and got.dtype == bool
+    np.testing.assert_array_equal(got, want)
+    if strength > 0.0 and mechanism != "mcar":
+        scores = synth._mar_scores(spec, ctx, rows, cols)
+        want_b = _solve_intercept_by_full_view(scores, strength, 0.35)
+        assert synth._solve_intercept(strength * scores, 0.35) == want_b
 
 
 def test_mask_deterministic():
@@ -449,25 +512,76 @@ def test_signal_dependent_on_design_view_falls_back_to_mcar():
                        mask_y=MaskSpec("mcar", 0.4))
     pair = generate_pair(cfg)
     assert abs((1.0 - pair.mask_x.mean()) - 0.3) < 0.05
-    # the fallback mask is drawn ahead, as an MCAR one
-    np.testing.assert_array_equal(draw_pair(cfg).mask_x, pair.mask_x)
+    # the fallback mask is an MCAR one, drawn without a context
+    mcar = sample_mask(MaskSpec("mcar", 0.3), None, 300, 40,
+                       derive_seed(cfg.seed, "mask_x"))
+    np.testing.assert_array_equal(mcar, pair.mask_x)
+
+
+def _draw_pair(cfg):
+    """The draw layout of the module docstring, made ahead of any
+    assembly: the raw design, the unit directions, the noise and each
+    view's mask that needs no data (None for one that does)."""
+    n, dx, dy = cfg.n_samples, cfg.dx, cfg.dy
+    rng = substream(cfg.seed, "directions")
+    u0, v0 = rng.standard_normal(dx), rng.standard_normal(dy)
+    masks = [sample_mask(spec, None, n, d, derive_seed(cfg.seed, key))
+             if spec.mechanism == "mcar" else None
+             for spec, d, key in zip(synth._view_specs(cfg), (dx, dy),
+                                     ("mask_x", "mask_y"))]
+    return dict(design=substream(cfg.seed, "design").standard_normal((n, dx)),
+                u0=u0 / np.linalg.norm(u0), v0=v0 / np.linalg.norm(v0),
+                noise=sample_noise(cfg.noise, n, dy, cfg.seed),
+                mask_x=masks[0], mask_y=masks[1])
+
+
+def _pair_from_draws(cfg, draws):
+    """The pair assembled from draws made ahead, every view in a new
+    array: whitening on a copy, the masks that need data drawn on the
+    latent views, and the observed views through np.where."""
+    x_star = whiten(draws["design"].copy())
+    scores = x_star @ draws["u0"]
+    y_star = cfg.theta * np.outer(scores, draws["v0"]) + draws["noise"]
+    spec_x, spec_y = synth._view_specs(cfg)
+    contexts = {"magnitude_dependent": (x_star, y_star),
+                "thresholded": (x_star, y_star),
+                "correlated": (y_star, x_star),
+                "signal_dependent": (None, scores)}
+    ctx_x = contexts.get(spec_x.mechanism, (None, None))[0]
+    ctx_y = contexts.get(spec_y.mechanism, (None, None))[1]
+    n, dx, dy = cfg.n_samples, cfg.dx, cfg.dy
+    sx = draws["mask_x"]
+    if sx is None:
+        sx = sample_mask(spec_x, ctx_x, n, dx, derive_seed(cfg.seed, "mask_x"))
+    sy = draws["mask_y"]
+    if sy is None:
+        sy = sample_mask(spec_y, ctx_y, n, dy, derive_seed(cfg.seed, "mask_y"))
+    return dict(x_obs=np.where(sx, x_star, 0.0), y_obs=np.where(sy, y_star, 0.0),
+                mask_x=sx, mask_y=sy, u0=draws["u0"], v0=draws["v0"],
+                x_latent=x_star, y_latent=y_star)
 
 
 @pytest.mark.parametrize("mechanism", MASK_MECHANISMS)
 def test_draw_pair_holds_exactly_the_data_free_draws(mechanism):
+    # a generated pair carries the draws of the layout, whatever its order
     cfg = _desk_config(mask_x=MaskSpec(mechanism, 0.3, 0.8),
                        mask_y=MaskSpec(mechanism, 0.4, 0.8))
-    draws = draw_pair(cfg)
-    assert draws.design.shape == (300, 40)
-    assert draws.noise.shape == (300, 25)
-    np.testing.assert_array_equal(
-        draws.noise, sample_noise(cfg.noise, 300, 25, cfg.seed))
-    for vec in (draws.u0, draws.v0):
+    draws = _draw_pair(cfg)
+    pair = generate_pair(cfg)
+    np.testing.assert_array_equal(pair.u0, draws["u0"])
+    np.testing.assert_array_equal(pair.v0, draws["v0"])
+    for vec in (pair.u0, pair.v0):
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    np.testing.assert_array_equal(pair.x_latent, whiten(draws["design"]))
+    signal = cfg.theta * np.outer(pair.x_latent @ pair.u0, pair.v0)
+    np.testing.assert_array_equal(pair.y_latent, signal + draws["noise"])
     # the design view's signal_dependent request falls back to MCAR
     x_ahead = mechanism in ("mcar", "signal_dependent")
-    assert (draws.mask_x is not None) == x_ahead
-    assert (draws.mask_y is not None) == (mechanism == "mcar")
+    assert (draws["mask_x"] is not None) == x_ahead
+    assert (draws["mask_y"] is not None) == (mechanism == "mcar")
+    for name in ("mask_x", "mask_y"):
+        if draws[name] is not None:
+            np.testing.assert_array_equal(getattr(pair, name), draws[name])
 
 
 @pytest.mark.parametrize("mechanism", MASK_MECHANISMS)
@@ -476,15 +590,19 @@ def test_generate_pair_from_draws_made_ahead_is_bitwise_the_same(mechanism, kind
     cfg = _desk_config(mask_x=MaskSpec(mechanism, 0.3, 0.8),
                        mask_y=MaskSpec(mechanism, 0.4, 0.8),
                        noise=NoiseSpec(kind))
-    draws = draw_pair(cfg)
-    ahead = generate_pair(cfg, draws)
-    in_call = generate_pair(cfg)
-    for name in ("x_obs", "y_obs", "mask_x", "mask_y", "u0", "v0",
-                 "x_latent", "y_latent"):
-        np.testing.assert_array_equal(getattr(ahead, name), getattr(in_call, name))
-    # the assembly took every view-sized array out of the draws
-    assert draws.design is None and draws.noise is None
-    assert draws.mask_x is None and draws.mask_y is None
+    want = _pair_from_draws(cfg, _draw_pair(cfg))
+    with_latent = generate_pair(cfg)
+    for name, value in want.items():
+        assert getattr(with_latent, name).tobytes() == value.tobytes(), name
+    # without its latent views a pair writes the observed views over them:
+    # the same bytes, with +0.0 at every missing entry
+    observed = generate_pair(cfg, keep_latent=False)
+    assert observed.x_latent is None and observed.y_latent is None
+    for name in ("x_obs", "y_obs", "mask_x", "mask_y", "u0", "v0"):
+        assert getattr(observed, name).tobytes() == want[name].tobytes(), name
+    for view, mask in ((observed.x_obs, observed.mask_x),
+                       (observed.y_obs, observed.mask_y)):
+        assert not np.signbit(view[~mask]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +647,10 @@ def test_planted_pair_roundtrip():
             n_samples=150, dx=8, dy=8, theta=1.2, mask_x=MaskSpec("mcar", 0.2),
             mask_y=MaskSpec("mcar", 0.2), seed=seed))
 
+    design_before = design.copy()
     pair = draw(4)
+    # the design is the caller's, so a pair never writes over it
+    np.testing.assert_array_equal(design, design_before)
     assert pair.x_obs.shape == (150, 8)
     assert pair.y_obs.shape == (150, 8)
     np.testing.assert_array_equal(pair.y_obs, draw(4).y_obs)
