@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, blas
-from .harness import run_sweep
+from .harness import NULL_FLOOR_MULTIPLE, run_sweep
 from .matio import MatrixFormatError, emit_results, ingest_matrix
 from .presets import ConfigError, ResolvedConfig, evaluate_check, parse_config, preset_config
 from .theory import predict
@@ -115,8 +115,11 @@ def _resolve_run_config(args) -> ResolvedConfig:
         raise ConfigError("run needs exactly one of --preset or --config")
     overrides = _parse_override_args(args.override)
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read --config {args.config!r}: {err}") from err
         return parse_config(text, overrides=overrides, seed=args.seed)
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -210,7 +213,7 @@ def _cmd_null_scale(args) -> int:
     print(f"null_scale_x = {1.0 / args.dx:.12g}")
     if args.dy is not None:
         print(f"null_scale_y = {1.0 / args.dy:.12g}")
-    print(f"boundary_threshold = {3.0 / args.dx:.12g}")
+    print(f"boundary_threshold = {NULL_FLOOR_MULTIPLE / args.dx:.12g}")
     return EXIT_OK
 
 

@@ -133,8 +133,10 @@ def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
     """Run one estimator on one masked pair.
 
     Non-convergence is not raised: the iterative refinements report it
-    through the iteration count, and an unconverged leading pair (a
-    quasi-degenerate subcritical spectrum) is used as is.  A
+    through the iteration count, and an unconverged leading pair is used
+    as is.  Power iteration stalls where the top two singular values
+    nearly tie, which can happen at any theta, supercritical ones
+    included; nothing reads SingularTriple.converged yet.  A
     cross-covariance with no leading direction at all (e.g. an
     all-missing view) is an error.
     """

@@ -44,6 +44,10 @@ AXIS_NAMES = ("theta", "theta_over_crit", "m_x", "m_y", "m_joint", "rho",
 # against the point's own threshold
 _STRUCTURAL_ORDER = ("m_x", "m_y", "m_joint", "rho", "n_samples")
 
+# empirical_boundary's noise floor for the design-side overlap, as a
+# multiple of the 1 / dx no-recovery null scale
+NULL_FLOOR_MULTIPLE = 3.0
+
 PairFactory = Callable[[ModelConfig], MaskedPair]
 
 
@@ -461,7 +465,8 @@ def _crossing_theta(thetas: Sequence[float], fitted: Sequence[float],
 
 def empirical_boundary(points: Sequence[PointSummary]) -> float:
     """Smallest spike strength along a theta-ordered sweep whose mean
-    design-side overlap rises above the noise floor 3 / dx.
+    design-side overlap rises above the noise floor
+    NULL_FLOOR_MULTIPLE / dx.
 
     The crossing is located on an isotonic fit of the means with linear
     interpolation between grid points, so boundaries finer than the grid
@@ -471,8 +476,8 @@ def empirical_boundary(points: Sequence[PointSummary]) -> float:
     if not pts:
         return float("nan")
     fitted = _isotonic_fit([p.mean_r2x for p in pts])
-    return _crossing_theta([p.theta for p in pts], fitted, 3.0 / pts[0].dx,
-                           strict=True)
+    return _crossing_theta([p.theta for p in pts], fitted,
+                           NULL_FLOOR_MULTIPLE / pts[0].dx, strict=True)
 
 
 def transition_width(points: Sequence[PointSummary]) -> float:

@@ -41,7 +41,7 @@ from .estimators import ESTIMATOR_NAMES, EstimatorKind
 from .harness import (Axis, PairFactory, PointSummary, SweepResult, SweepSpec,
                       empirical_boundary, transition_width)
 from .matio import _check_keys, decode, ingest_matrix
-from .streams import derive_seed, substream
+from .streams import SEED_LIMIT, derive_seed, substream
 from .synth import (MASK_MECHANISMS, MaskSpec, ModelConfig, NoiseSpec,
                     planted_pair, prepare_semi_synthetic)
 from .theory import critical_threshold
@@ -318,6 +318,9 @@ def preset_config(name: str, scale: str = "desk",
     ov = _Overrides(overrides, name)
     with _as_config_error():
         seed = ov.take_int("seed", 0, minimum=0)
+        # exp3 and exp5 derive their seeds before a ModelConfig checks one
+        if seed >= SEED_LIMIT:
+            raise ConfigError(f"override 'seed' must be below 2**64, got {seed}")
         items = _BUILDERS[name](scale == "paper", seed, ov)
     ov.finish()
     echo = {

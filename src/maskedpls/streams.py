@@ -13,7 +13,9 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+# seeds key 64-bit generators: a seed is an integer in [0, SEED_LIMIT)
+SEED_LIMIT = 1 << 64
+_MASK64 = SEED_LIMIT - 1
 
 
 def _path_tag(parts: tuple) -> int:

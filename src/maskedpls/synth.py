@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import pca_reduce, top_singular_pair, whiten
-from .streams import derive_seed, substream
+from .streams import SEED_LIMIT, derive_seed, substream
 
 NOISE_KINDS = ("gaussian", "student_t", "laplace", "heteroskedastic")
 MASK_MECHANISMS = ("mcar", "signal_dependent", "magnitude_dependent",
@@ -36,8 +36,8 @@ _NEWTON_STEP_TOL = 1e-8
 # range, which averages to 1 (unit variance in expectation)
 _HETEROSKEDASTIC_VARIANCES = (0.5, 1.5)
 # masks are drawn, and the planted signal and the data-dependent link are
-# formed, this many entries at a time (in whole rows, but for an MCAR
-# mask), so that no view-sized scratch array is allocated
+# formed, this many entries at a time (in whole rows), so that no
+# view-sized scratch array is allocated
 _MASK_CHUNK = 1 << 14
 
 
@@ -106,6 +106,8 @@ class ModelConfig:
             raise ValueError(f"theta must be finite, got {self.theta}")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= int(self.seed) < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def alpha_x(self) -> float:
@@ -282,20 +284,6 @@ def _mar_scores(spec: MaskSpec, data_context, rows: int, cols: int) -> np.ndarra
     return _standardize(np.abs(ctx).mean(axis=1))[:, None]
 
 
-def _mcar_mask(rng: np.random.Generator, rows: int, cols: int,
-               rate: float) -> np.ndarray:
-    """rng.random((rows, cols)) >= rate, bit for bit, drawn and compared
-    in chunks of _MASK_CHUNK uniforms."""
-    mask = np.empty((rows, cols), dtype=bool)
-    flat = mask.reshape(-1)
-    buf = np.empty(min(flat.size, _MASK_CHUNK))
-    for start in range(0, flat.size, _MASK_CHUNK):
-        chunk = buf[:min(_MASK_CHUNK, flat.size - start)]
-        rng.random(out=chunk)
-        np.greater_equal(chunk, rate, out=flat[start:start + chunk.size])
-    return mask
-
-
 def sample_mask(spec: MaskSpec, data_context, rows: int, cols: int,
                 seed: int) -> np.ndarray:
     """Boolean observation mask (True = observed).
@@ -309,27 +297,30 @@ def sample_mask(spec: MaskSpec, data_context, rows: int, cols: int,
         raise ValueError(f"mask shape must be positive, got {rows} x {cols}")
     if spec.target_rate == 0.0:
         return np.ones((rows, cols), dtype=bool)
+    shift = None
+    if spec.mechanism != "mcar":
+        # a data-dependent spec needs its context even at strength 0, so
+        # callers cannot silently treat it as context-free
+        scores = _mar_scores(spec, data_context, rows, cols)
+        if spec.strength > 0.0:
+            shift = np.multiply(scores, spec.strength, out=scores)
+            intercept = _solve_intercept(shift, spec.target_rate)
+    # rng.random((rows, cols)) >= p, bit for bit, a block of rows at a
+    # time, with p the target rate or sigmoid(shift + intercept)
     rng = substream(seed, "mask")
-    if spec.mechanism == "mcar" or spec.strength == 0.0:
-        if spec.mechanism != "mcar":
-            # context is still required so callers cannot silently treat a
-            # data-dependent spec as context-free
-            _mar_scores(spec, data_context, rows, cols)
-        return _mcar_mask(rng, rows, cols, spec.target_rate)
-    shift = _mar_scores(spec, data_context, rows, cols)
-    shift *= spec.strength
-    intercept = _solve_intercept(shift, spec.target_rate)
-    # rng.random((rows, cols)) >= sigmoid(shift + intercept), bit for bit,
-    # a block of rows at a time
     mask = np.empty((rows, cols), dtype=bool)
     blocks = _row_blocks(rows, cols)
     uniforms = np.empty((blocks[0].stop, cols))
-    z = np.empty((blocks[0].stop, shift.shape[1]))
+    p = spec.target_rate
+    if shift is not None:
+        z = np.empty((blocks[0].stop, shift.shape[1]))
     for block in blocks:
         count = block.stop - block.start
         u = rng.random(out=uniforms[:count])
-        p = np.add(shift[block], intercept, out=z[:count])
-        np.greater_equal(u, _sigmoid(p, out=p), out=mask[block])
+        if shift is not None:
+            p = np.add(shift[block], intercept, out=z[:count])
+            _sigmoid(p, out=p)
+        np.greater_equal(u, p, out=mask[block])
     return mask
 
 
@@ -344,17 +335,6 @@ def _view_specs(config: ModelConfig) -> tuple[MaskSpec, MaskSpec]:
     if spec_x.mechanism == "signal_dependent":
         spec_x = MaskSpec("mcar", spec_x.target_rate, 0.0)
     return spec_x, config.mask_y
-
-
-def _view_context(spec: MaskSpec, own_latent: np.ndarray,
-                  other_latent: np.ndarray, signal_scores: np.ndarray | None):
-    if spec.mechanism in ("magnitude_dependent", "thresholded"):
-        return own_latent
-    if spec.mechanism == "correlated":
-        return other_latent
-    if spec.mechanism == "signal_dependent":
-        return signal_scores
-    return None
 
 
 def _plant(x_star: np.ndarray, u0: np.ndarray, v0: np.ndarray,
@@ -381,10 +361,19 @@ def _plant(x_star: np.ndarray, u0: np.ndarray, v0: np.ndarray,
         signal *= config.theta
         y_star[block] += signal
 
+    # the context each mechanism reads, as (design view's, response view's);
+    # _view_specs draws a signal_dependent design view as MCAR
+    contexts = {
+        "mcar": (None, None),
+        "signal_dependent": (None, signal_scores),
+        "magnitude_dependent": (x_star, y_star),
+        "thresholded": (x_star, y_star),
+        "correlated": (y_star, x_star),
+    }
     spec_x, spec_y = _view_specs(config)
-    sx = sample_mask(spec_x, _view_context(spec_x, x_star, y_star, None),
+    sx = sample_mask(spec_x, contexts[spec_x.mechanism][0],
                      n, dx, derive_seed(config.seed, "mask_x"))
-    sy = sample_mask(spec_y, _view_context(spec_y, y_star, x_star, signal_scores),
+    sy = sample_mask(spec_y, contexts[spec_y.mechanism][1],
                      n, dy, derive_seed(config.seed, "mask_y"))
     if keep_latent:
         x_obs, y_obs = np.where(sx, x_star, 0.0), np.where(sy, y_star, 0.0)

@@ -251,6 +251,20 @@ def test_run_rejects_missing_config_file(capsys):
     assert main(["run", "--config", "/nonexistent/cfg.json"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_run_reports_an_unreadable_config_as_configuration_error(tmp_path, capsys,
+                                                                 kind):
+    cfg = tmp_path / "cfg.json"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b'{"sweep": "\xff\xfe"}')
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read --config")
+    assert str(cfg) in err
+
+
 def test_run_rejects_bad_config_document(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -363,6 +377,42 @@ def test_run_rejects_non_integer_override(capsys):
     code = main(["run", "--preset", "exp1_transition", "--override", "trials=2.9"])
     assert code == EXIT_CONFIG
     assert "override 'trials' must be an integer, got 2.9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["exp1_transition", "exp3_finite_size"])
+@pytest.mark.parametrize("seed", [2 ** 64, -1])
+def test_run_rejects_preset_seeds_outside_64_bits(capsys, preset, seed):
+    code = main(["run", "--preset", preset, "--override", "trials=1",
+                 "--override", "theta_points=3", "--seed", str(seed)])
+    assert code == EXIT_CONFIG
+    assert "override 'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, -1])
+def test_run_rejects_sweep_seeds_outside_64_bits(tmp_path, capsys, seed):
+    cfg = tmp_path / "sweep.json"
+    doc = json.loads(json.dumps(SMALL_SWEEP))
+    doc["sweep"]["base"]["seed"] = seed
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    cfg.write_text(json.dumps(SMALL_SWEEP))
+    assert main(["run", "--config", str(cfg), "--seed", str(seed)]) == EXIT_CONFIG
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_run_accepts_the_largest_64_bit_seed(tmp_path, capsys):
+    top = str(2 ** 64 - 1)
+    assert main(["run", "--preset", "exp1_transition", "--override", "trials=1",
+                 "--override", "theta_points=2", "--seed", top]) == EXIT_OK
+    preset_out = capsys.readouterr().out
+    assert main(["run", "--preset", "exp1_transition", "--override", "trials=1",
+                 "--override", "theta_points=2", "--seed", "0"]) == EXIT_OK
+    zero_out = capsys.readouterr().out
+    assert preset_out.split("digest=")[1] != zero_out.split("digest=")[1]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(SMALL_SWEEP))
+    assert main(["run", "--config", str(cfg), "--seed", top]) == EXIT_OK
 
 
 def test_run_rejects_overrides_on_raw_sweep(tmp_path, capsys):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from maskedpls import blas, estimators, harness, synth
+from maskedpls import blas, cli, estimators, harness, synth
 from maskedpls.estimators import EstimatorKind
 from maskedpls.harness import (
     Axis,
@@ -371,8 +371,10 @@ def test_draws_run_at_most_one_trial_ahead(monkeypatch):
         return draw(config, **kwargs)
 
     def slow_trial(*args, **kwargs):
-        time.sleep(0.01)  # leaves the other worker time to run further ahead
         result = trial(*args, **kwargs)
+        # keeps this trial in flight, its GIL released, so that the other
+        # worker draws meanwhile and could run further ahead
+        time.sleep(0.01)
         with lock:
             finished.append(result)
         return result
@@ -769,6 +771,18 @@ def test_empirical_boundary_default_noise_floor():
     # default threshold is 3 / dx = 0.03, crossed between theta 1.0 and 1.5
     expected = 1.0 + 0.5 * (0.03 - 0.002) / (0.058 - 0.002)
     assert empirical_boundary(pts) == pytest.approx(expected)
+
+
+def test_null_scale_prints_the_floor_empirical_boundary_uses(capsys):
+    assert cli.main(["null-scale", "--dx", "40"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    floor = float(out.split("boundary_threshold = ")[1])
+    assert floor == harness.NULL_FLOOR_MULTIPLE / 40
+    # the means sit at half and one and a half times the printed floor, so
+    # the crossing is midway between the two points only at that floor
+    pts = [_point(axis1=t, theta=t, mean_r2x=m * floor, dx=40)
+           for t, m in ((1.0, 0.5), (2.0, 1.5))]
+    assert empirical_boundary(pts) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_empirical_boundary_nan_when_never_crossed():

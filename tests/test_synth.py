@@ -207,6 +207,7 @@ def test_zero_strength_reduces_to_mcar_bitwise():
     (7, 13),                          # below one chunk
     (128, synth._MASK_CHUNK // 128),  # exactly one chunk
     (130, 259),                       # several chunks, the last one partial
+    (3, synth._MASK_CHUNK + 5),       # rows wider than a chunk, one per block
 ])
 def test_chunked_mcar_mask_is_the_whole_view_comparison(shape):
     rows, cols = shape
