@@ -407,9 +407,18 @@ _PINNED_B3_DIGESTS = {
 }
 
 
-def _desk_digests_at_one_blas_thread(preset: str) -> dict[str, str]:
-    """Each item's digest of the desk preset at seed 0, two trials and two
-    theta points, under one BLAS thread; skips off the pinned build."""
+_PINNED_EXP5_DIGESTS = {
+    "theta_sweep": "8889d284a854ae188c88b45f5fd51423",
+    "mask_sweep": "db87a18224ca822561c8f5b450cc28b8",
+    "random_control": "9b2cf92fbc5cc271ed3912287920c249",
+}
+
+
+def _desk_digests_at_one_blas_thread(preset: str,
+                                     **overrides) -> dict[str, str]:
+    """Each item's digest of the desk preset at seed 0, two trials, two
+    theta points and any further overrides, under one BLAS thread; skips
+    off the pinned build."""
     build = (np.__version__, blas.config())
     if build != _PINNED_BUILD:
         pytest.skip(f"digests pinned on {_PINNED_BUILD}, running on {build}")
@@ -417,8 +426,10 @@ def _desk_digests_at_one_blas_thread(preset: str) -> dict[str, str]:
     blas.set_num_threads(1)
     try:
         resolved = preset_config(preset, "desk",
-                                 {"seed": 0, "trials": 2, "theta_points": 2})
-        return {item.name: run_sweep(item.spec).digest
+                                 {"seed": 0, "trials": 2, "theta_points": 2,
+                                  **overrides})
+        return {item.name: run_sweep(item.spec,
+                                     pair_factory=item.pair_factory).digest
                 for item in resolved.items}
     finally:
         blas.set_num_threads(before)
@@ -437,6 +448,19 @@ def test_b2_mar_digests_are_pinned():
 def test_b3_baselines_digests_are_pinned():
     # every estimator's loop at one BLAS thread, checked bit for bit
     assert _desk_digests_at_one_blas_thread("b3_baselines") == _PINNED_B3_DIGESTS
+
+
+def test_exp5_semi_synthetic_digests_are_pinned(tmp_path):
+    # the planted-pair factory on a reused design, checked bit for bit
+    rng = substream(5, "exp5-pin")
+    paths = {}
+    for name, cols in (("x_matrix", 40), ("y_matrix", 30)):
+        matrix = rng.standard_normal((600, 3)) @ rng.standard_normal((3, cols))
+        matrix += rng.standard_normal((600, cols))
+        paths[name] = str(tmp_path / f"{name}.mat")
+        write_matrix(paths[name], matrix)
+    assert (_desk_digests_at_one_blas_thread("exp5_semi_synthetic", **paths)
+            == _PINNED_EXP5_DIGESTS)
 
 
 # ---------------------------------------------------------------------------
