@@ -3,7 +3,8 @@
 The primary estimator takes the leading singular pair of the rescaled
 missing-as-zero cross-covariance.  Baselines cover column-mean
 imputation, an EM-style rank-1 refit loop, per-view iterative SVD
-completion, and an oracle that sees the unmasked data.
+completion, and an oracle: the primary estimator on a fully observed
+pair, which the harness draws for it.
 """
 
 from __future__ import annotations
@@ -138,11 +139,13 @@ def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
     nearly tie, which can happen at any theta, supercritical ones
     included; nothing reads SingularTriple.converged yet.  A
     cross-covariance with no leading direction at all (e.g. an
-    all-missing view) is an error.
+    all-missing view) is an error.  The oracle runs the primary
+    estimator on the pair it is given, so that pair should be the
+    complete one, drawn with both mask rates at 0.
     """
     n = pair.n_samples
     iterations = 1
-    if kind.name == "pls_svd_zero":
+    if kind.name in ("pls_svd_zero", "oracle"):
         triple = top_singular_pair(
             rescaled_cross_covariance(pair.x_obs, pair.y_obs, pair.rho))
     elif kind.name == "mean_impute":
@@ -151,15 +154,11 @@ def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
         triple = top_singular_pair(x_imp.T @ y_imp / n)
     elif kind.name == "em_pls":
         triple, iterations = _em_pls(pair, kind)
-    elif kind.name == "iterative_svd":
+    else:  # iterative_svd
         x_comp, it_x = _hard_impute(pair.x_obs, pair.mask_x, kind.max_iter, kind.tol)
         y_comp, it_y = _hard_impute(pair.y_obs, pair.mask_y, kind.max_iter, kind.tol)
         triple = top_singular_pair(x_comp.T @ y_comp / n)
         iterations = it_x + it_y
-    else:  # oracle
-        if pair.x_latent is None or pair.y_latent is None:
-            raise ValueError("oracle estimator needs the latent complete matrices")
-        triple = top_singular_pair(pair.x_latent.T @ pair.y_latent / n)
     r2_x, r2_y = squared_overlaps(triple.left, triple.right, pair.u0, pair.v0)
     return EstimateResult(u_hat=triple.left, v_hat=triple.right, r2_x=r2_x,
                           r2_y=r2_y, iterations=iterations)

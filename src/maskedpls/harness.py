@@ -13,9 +13,9 @@ OpenBLAS at ``max(1, n // max(threads, 2))`` threads, n being its count
 when the sweep starts.  Results depend on the harness thread count only
 through that BLAS count, so one- and two-thread sweeps agree bit for
 bit, and with OpenBLAS on one thread, results are identical for every
-harness thread count.  A trial generates the pair of every estimator but
-the oracle without the latent complete views, whose memory then holds
-the observed ones.
+harness thread count.  An oracle trial draws its pair from its config
+with both mask rates at 0, and so fits the complete views of the draw
+the other estimators see masked.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import blas
 from .estimators import EstimatorKind, estimate, split_half_stability
 from .streams import derive_seed
-from .synth import MaskedPair, ModelConfig, generate_pair
+from .synth import MaskedPair, MaskSpec, ModelConfig, generate_pair
 from .theory import critical_threshold, predict
 
 AXIS_NAMES = ("theta", "theta_over_crit", "m_x", "m_y", "m_joint", "rho",
@@ -196,17 +196,17 @@ def run_trial(config: ModelConfig, estimator: EstimatorKind,
 
     The pair is ``pair_factory(config)``, used as it comes, or
     ``generate_pair(config)`` when none is given; it is made inside the
-    trial, so a pair source that fails is tagged on it.  Only the oracle
-    reads the latent views, so for every other estimator the generated
-    pair leaves them out.
+    trial, so a pair source that fails is tagged on it.  The oracle's
+    pair is made from config with both masks replaced by ``MaskSpec()``,
+    at the same seed, so it holds the complete views of the trial's draw.
     """
     t0 = time.perf_counter()
     try:
-        if pair_factory is None:
-            pair = generate_pair(config,
-                                 keep_latent=estimator.name == "oracle")
-        else:
-            pair = pair_factory(config)
+        drawn = config
+        if estimator.name == "oracle":
+            drawn = dataclasses.replace(config, mask_x=MaskSpec(),
+                                        mask_y=MaskSpec())
+        pair = (pair_factory or generate_pair)(drawn)
         fit = estimate(pair, estimator)
         if split_half:
             stability = split_half_stability(pair, config.seed)

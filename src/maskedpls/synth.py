@@ -6,8 +6,9 @@ Draw layout: every pair is generated from named substreams of one seed
 ingredient (e.g. mask rates) never perturbs the others, and the order in
 which a pair makes its draws does not change their values.
 generate_pair whitens its design in place and draws the noise after
-it, and a pair made without its latent views writes the observed views
-over them, so a trial holds one copy of each view.
+it, and every pair writes its observed views over the latent ones, so a
+trial holds one copy of each view.  A pair whose two mask rates are 0
+is observed in full: its views are the latent ones.
 """
 
 from __future__ import annotations
@@ -127,10 +128,8 @@ class MaskedPair:
     """One generated two-view dataset.
 
     x_obs / y_obs are missing-as-zero observed matrices; mask_x / mask_y
-    are True where observed.  The latent complete matrices are retained
-    so oracle estimators and diagnostics can access them; they are None
-    in a pair generated without them, which every estimator but the
-    oracle gets.
+    are True where observed.  The complete views are those of the same
+    config with both mask rates at 0.
     """
 
     x_obs: np.ndarray
@@ -140,8 +139,6 @@ class MaskedPair:
     u0: np.ndarray
     v0: np.ndarray
     rho: float
-    x_latent: np.ndarray | None
-    y_latent: np.ndarray | None
 
     @property
     def n_samples(self) -> int:
@@ -338,15 +335,13 @@ def _view_specs(config: ModelConfig) -> tuple[MaskSpec, MaskSpec]:
 
 
 def _plant(x_star: np.ndarray, u0: np.ndarray, v0: np.ndarray,
-           config: ModelConfig, noise: np.ndarray,
-           keep_latent: bool) -> MaskedPair:
+           config: ModelConfig, noise: np.ndarray) -> MaskedPair:
     """Plant the signal in the whitened design x_star, add noise, draw the
     observation masks and mask the views.
 
-    The response is formed in noise's memory, so callers pass noise as
-    its only reference.  Without keep_latent the observed views are written over the latent
-    ones, x_star included, which the pair then does not hold; that is for
-    a caller that owns x_star.
+    The response is formed in noise's memory, and the observed views are
+    written over the latent ones, x_star included, so callers pass x_star
+    and noise as their only references.
     """
     n, dx, dy = config.n_samples, config.dx, config.dy
     signal_scores = x_star @ u0
@@ -375,33 +370,21 @@ def _plant(x_star: np.ndarray, u0: np.ndarray, v0: np.ndarray,
                      n, dx, derive_seed(config.seed, "mask_x"))
     sy = sample_mask(spec_y, contexts[spec_y.mechanism][1],
                      n, dy, derive_seed(config.seed, "mask_y"))
-    if keep_latent:
-        x_obs, y_obs = np.where(sx, x_star, 0.0), np.where(sy, y_star, 0.0)
-    else:
-        # np.where(mask, view, 0.0), bit for bit, in the view's own memory
-        np.copyto(x_star, 0.0, where=~sx)
-        np.copyto(y_star, 0.0, where=~sy)
-        x_obs, y_obs, x_star, y_star = x_star, y_star, None, None
-    return MaskedPair(
-        x_obs=x_obs,
-        y_obs=y_obs,
-        mask_x=sx,
-        mask_y=sy,
-        u0=u0,
-        v0=v0,
-        rho=config.rho,
-        x_latent=x_star,
-        y_latent=y_star,
-    )
+    # np.where(mask, view, 0.0), bit for bit, in the view's own memory
+    np.copyto(x_star, 0.0, where=~sx)
+    np.copyto(y_star, 0.0, where=~sy)
+    return MaskedPair(x_obs=x_star, y_obs=y_star, mask_x=sx, mask_y=sy,
+                      u0=u0, v0=v0, rho=config.rho)
 
 
 def planted_pair(design, u0, v0, config: ModelConfig) -> MaskedPair:
     """Plant theta * outer(design @ u0, v0) plus noise as the response and
     mask both views.  design is the n_samples x dx whitened design, u0
     and v0 unit directions; everything else, rho included, comes from
-    config.  The semi-synthetic protocol reuses one design across trials.
+    config.  The semi-synthetic protocol reuses one design across trials,
+    so the pair is planted in a C-ordered copy of it.
     """
-    x_star = np.asarray(design, dtype=np.float64)
+    x_star = np.array(design, dtype=np.float64, order="C")
     u0 = np.asarray(u0, dtype=np.float64)
     v0 = np.asarray(v0, dtype=np.float64)
     n, dx, dy = config.n_samples, config.dx, config.dy
@@ -415,17 +398,16 @@ def planted_pair(design, u0, v0, config: ModelConfig) -> MaskedPair:
         if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
             raise ValueError(f"planted direction {name} must have unit norm")
     return _plant(x_star, u0, v0, config,
-                  sample_noise(config.noise, n, dy, config.seed), True)
+                  sample_noise(config.noise, n, dy, config.seed))
 
 
-def generate_pair(config: ModelConfig, keep_latent: bool = True) -> MaskedPair:
+def generate_pair(config: ModelConfig) -> MaskedPair:
     """One masked two-view dataset from the generative model.
 
     Draws a Gaussian design and whitens it exactly, draws unit planted
     directions on the sphere, plants the signal along them, adds the
     noise and masks both views, each draw from its own substream of
-    config.seed.  Without keep_latent the pair holds only the observed
-    views, written over the latent ones.
+    config.seed.
     """
     n, dx, dy = config.n_samples, config.dx, config.dy
 
@@ -440,8 +422,7 @@ def generate_pair(config: ModelConfig, keep_latent: bool = True) -> MaskedPair:
     # the noise is drawn after whitening, so that it is not held beside
     # the whitening's temporaries, and passed on as its only reference
     return _plant(x_star, u0 / np.linalg.norm(u0), v0 / np.linalg.norm(v0),
-                  config, sample_noise(config.noise, n, dy, config.seed),
-                  keep_latent)
+                  config, sample_noise(config.noise, n, dy, config.seed))
 
 
 def prepare_semi_synthetic(x_real, y_real, target_dims: int):

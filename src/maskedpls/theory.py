@@ -90,12 +90,19 @@ def predict(alpha_x: float, alpha_y: float, rho: float, theta: float) -> TheoryP
     supercritical = theta > theta_crit
     r2_x = r2_y = 0.0
     if supercritical:
-        t = alpha_x * alpha_y * rho**2 * theta**4
-        gx = alpha_x * rho * theta**2
-        gy = alpha_y * rho * theta**2
-        # clamp away sub-1e-12 floating-point excursions outside [0, 1]
-        r2_x = float(min(max((t - 1.0) / (gy * (gx + 1.0)), 0.0), 1.0))
-        r2_y = float(min(max((t - 1.0) / (gx * (gy + 1.0)), 0.0), 1.0))
+        try:
+            t = alpha_x * alpha_y * rho**2 * theta**4
+            gx = alpha_x * rho * theta**2
+            gy = alpha_y * rho * theta**2
+            ratios = ((t - 1.0) / (gy * (gx + 1.0)),
+                      (t - 1.0) / (gx * (gy + 1.0)))
+        except OverflowError:  # theta**2 or theta**4 past float64's range
+            ratios = (np.nan, np.nan)
+        # clamp away sub-1e-12 floating-point excursions outside [0, 1]; a
+        # NaN is inf / inf past float64's range, where the overlaps have
+        # reached their limit 1
+        r2_x, r2_y = (1.0 if np.isnan(r) else float(min(max(r, 0.0), 1.0))
+                      for r in ratios)
     return TheoryPrediction(theta_crit=theta_crit, theta_eff=theta_eff,
                             r2_x=r2_x, r2_y=r2_y, supercritical=supercritical)
 

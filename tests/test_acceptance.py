@@ -256,10 +256,13 @@ def _property_sign_flip(rng) -> bool:
     u0 /= np.linalg.norm(u0)
     v0 = rng.standard_normal(16)
     v0 /= np.linalg.norm(v0)
-    design = generate_pair(config).x_latent
+    # the complete views are those of the config with both masks off
+    unmasked = dataclasses.replace(config, mask_x=MaskSpec(), mask_y=MaskSpec())
+    design = generate_pair(unmasked).x_obs
     plus = planted_pair(design, u0, v0, config)
     minus = planted_pair(design, -u0, -v0, config)
-    if not (np.array_equal(plus.y_latent, minus.y_latent)
+    if not (np.array_equal(planted_pair(design, u0, v0, unmasked).y_obs,
+                           planted_pair(design, -u0, -v0, unmasked).y_obs)
             and np.array_equal(plus.mask_x, minus.mask_x)
             and np.array_equal(plus.mask_y, minus.mask_y)):
         return False

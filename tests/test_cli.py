@@ -62,6 +62,14 @@ def test_theory_with_spike_strength(capsys):
         np.sqrt(0.42) * 0.97590007294853, abs=1e-10)
 
 
+def test_theory_prints_the_limit_overlap_for_a_huge_spike(capsys):
+    code = main(["theory", "--alpha-x", "5", "--alpha-y", "20",
+                 "--theta", "1e77"])
+    assert code == EXIT_OK
+    values = _parse_kv_lines(capsys.readouterr().out)
+    assert values["r2_x"] == values["r2_y"] == "1"
+
+
 def test_theory_rejects_bad_geometry(capsys):
     code = main(["theory", "--alpha-x", "-1", "--alpha-y", "20"])
     assert code == EXIT_RUNTIME

@@ -25,8 +25,8 @@ from maskedpls.synth import MaskedPair, MaskSpec, ModelConfig, generate_pair
 from maskedpls.theory import asymptotic_overlaps, critical_threshold
 
 
-def _manual_pair(x_obs, y_obs, mask_x, mask_y, rho, u0=None, v0=None,
-                 latents=True) -> MaskedPair:
+def _manual_pair(x_obs, y_obs, mask_x, mask_y, rho, u0=None,
+                 v0=None) -> MaskedPair:
     x_obs = np.asarray(x_obs, dtype=np.float64)
     y_obs = np.asarray(y_obs, dtype=np.float64)
     if u0 is None:
@@ -42,8 +42,6 @@ def _manual_pair(x_obs, y_obs, mask_x, mask_y, rho, u0=None, v0=None,
         u0=np.asarray(u0, dtype=np.float64),
         v0=np.asarray(v0, dtype=np.float64),
         rho=rho,
-        x_latent=x_obs if latents else None,
-        y_latent=y_obs if latents else None,
     )
 
 
@@ -197,13 +195,6 @@ def test_masked_estimation_recovers_signal():
         assert res.r2_y > 0.5, name
 
 
-def test_oracle_requires_latents():
-    pair = _manual_pair(np.eye(3), np.eye(3), np.ones((3, 3)),
-                        np.ones((3, 3)), rho=1.0, latents=False)
-    with pytest.raises(ValueError, match="latent"):
-        estimate(pair, EstimatorKind("oracle"))
-
-
 def test_all_missing_view_is_an_error():
     mask_y = np.zeros((6, 3), dtype=bool)
     pair = _manual_pair(np.eye(6), np.zeros((6, 3)), np.ones((6, 6)),
@@ -318,11 +309,10 @@ def test_column_mean_impute_is_the_masked_sum_formula(mechanism):
     cfg = ModelConfig(n_samples=700, dx=90, dy=60, theta=1.5,
                       mask_x=MaskSpec(mechanism, 0.3, 0.8),
                       mask_y=MaskSpec(mechanism, 0.6, 0.8), seed=17)
-    for keep_latent in (True, False):
-        pair = generate_pair(cfg, keep_latent=keep_latent)
-        for obs, mask in ((pair.x_obs, pair.mask_x), (pair.y_obs, pair.mask_y)):
-            want = by_masked_copy(obs, mask)
-            assert _column_mean_impute(obs, mask).tobytes() == want.tobytes()
+    pair = generate_pair(cfg)
+    for obs, mask in ((pair.x_obs, pair.mask_x), (pair.y_obs, pair.mask_y)):
+        want = by_masked_copy(obs, mask)
+        assert _column_mean_impute(obs, mask).tobytes() == want.tobytes()
     # a column with no observed entry keeps zeros
     obs = np.array([[1.0, 0.0], [3.0, 0.0]])
     mask = np.array([[True, False], [True, False]])

@@ -1,6 +1,7 @@
 """Tests for the sweep harness: axis resolution, aggregation, reproducibility."""
 
 import dataclasses
+import functools
 import importlib.util
 import math
 import os
@@ -660,20 +661,37 @@ def test_run_trial_reports_seed_derivation():
     assert trial.error is None
 
 
-@pytest.mark.parametrize("name", ["pls_svd_zero", "iterative_svd", "oracle"])
-def test_run_trial_hands_latents_to_the_oracle_only(monkeypatch, name):
-    seen = []
-    real = harness.estimate
+@pytest.mark.parametrize("source", ["generate_pair", "planted_pair"])
+def test_oracle_trial_is_pls_svd_zero_on_the_unmasked_draw(monkeypatch,
+                                                            source):
+    # the oracle fits the trial's own draw with both masks off, bit for bit
+    # as the primary estimator does on that unmasked config
+    config = _trial(_base(), 3)
+    unmasked = dataclasses.replace(config, mask_x=MaskSpec(), mask_y=MaskSpec())
+    factory = None
+    if source == "planted_pair":
+        complete = synth.generate_pair(
+            dataclasses.replace(unmasked, seed=99))
+        factory = functools.partial(synth.planted_pair, complete.x_obs,
+                                    complete.u0, complete.v0)
+    drawn = []
+    real = harness.generate_pair
 
-    def recording_estimate(pair, kind):
-        seen.append((pair.x_latent is None, pair.y_latent is None))
-        return real(pair, kind)
+    def recording_generate_pair(cfg):
+        drawn.append(cfg)
+        return real(cfg)
 
-    monkeypatch.setattr(harness, "estimate", recording_estimate)
-    trial = run_trial(_trial(_base(), 0), EstimatorKind(name), False)
-    assert trial.error is None
-    dropped = name != "oracle"
-    assert seen == [(dropped, dropped)]
+    monkeypatch.setattr(harness, "generate_pair", recording_generate_pair)
+    oracle = run_trial(config, EstimatorKind("oracle"), True, factory)
+    zero = run_trial(unmasked, EstimatorKind("pls_svd_zero"), True, factory)
+    assert oracle.error is None and zero.error is None
+    assert oracle.seed == zero.seed == config.seed
+    for name in ("r2_x", "r2_y", "stability"):
+        assert getattr(oracle, name).hex() == getattr(zero, name).hex(), name
+    assert oracle.iterations == zero.iterations == 1
+    # generate_pair is looked up when the trial runs, and the oracle's
+    # config is the trial's with its masks switched off
+    assert drawn == ([] if factory else [unmasked, unmasked])
 
 
 @pytest.mark.parametrize("view", ["x", "y"])

@@ -1,5 +1,6 @@
 """Tests for the synthetic and semi-synthetic data generators."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,16 @@ def _desk_config(**overrides) -> ModelConfig:
                 seed=11)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def _unmasked(cfg: ModelConfig) -> ModelConfig:
+    return dataclasses.replace(cfg, mask_x=MaskSpec(), mask_y=MaskSpec())
+
+
+def _complete(cfg: ModelConfig) -> MaskedPair:
+    """The pair of cfg's draw with both masks off: its observed views are
+    the latent ones that cfg's masks hide entries of."""
+    return generate_pair(_unmasked(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +459,25 @@ def test_generate_pair_shapes_and_fields():
 
 
 def test_generate_pair_design_exactly_whitened():
-    pair = generate_pair(_desk_config())
-    gram = pair.x_latent.T @ pair.x_latent
+    design = _complete(_desk_config()).x_obs
+    gram = design.T @ design
     assert np.abs(gram - 300.0 * np.eye(40)).max() < 1e-8
 
 
 def test_generate_pair_missing_as_zero():
     pair = generate_pair(_desk_config())
+    complete = _complete(_desk_config())
+    assert complete.mask_x.all() and complete.mask_y.all()
     np.testing.assert_array_equal(
-        pair.x_obs, np.where(pair.mask_x, pair.x_latent, 0.0))
+        pair.x_obs, np.where(pair.mask_x, complete.x_obs, 0.0))
     np.testing.assert_array_equal(
-        pair.y_obs, np.where(pair.mask_y, pair.y_latent, 0.0))
+        pair.y_obs, np.where(pair.mask_y, complete.y_obs, 0.0))
     assert np.all(pair.y_obs[~pair.mask_y] == 0.0)
 
 
 def test_generate_pair_signal_plus_noise_decomposition():
-    pair = generate_pair(_desk_config())
-    resid = pair.y_latent - 1.4 * np.outer(pair.x_latent @ pair.u0, pair.v0)
+    pair = _complete(_desk_config())
+    resid = pair.y_obs - 1.4 * np.outer(pair.x_obs @ pair.u0, pair.v0)
     assert abs(resid.mean()) < 0.05
     assert 0.9 < resid.var() < 1.1
 
@@ -482,9 +495,12 @@ def test_generate_pair_deterministic():
 def test_generate_pair_sign_flip_invariance():
     cfg = _desk_config()
     pair = generate_pair(cfg)
-    flipped = planted_pair(pair.x_latent, -pair.u0, -pair.v0, cfg)
+    complete = _complete(cfg)
+    flipped = planted_pair(complete.x_obs, -pair.u0, -pair.v0, cfg)
     # the planted rank-1 signal is unchanged under a joint sign flip
-    np.testing.assert_array_equal(pair.y_latent, flipped.y_latent)
+    complete_flipped = planted_pair(complete.x_obs, -pair.u0, -pair.v0,
+                                    _unmasked(cfg))
+    np.testing.assert_array_equal(complete.y_obs, complete_flipped.y_obs)
     np.testing.assert_array_equal(pair.mask_x, flipped.mask_x)
     np.testing.assert_array_equal(pair.mask_y, flipped.mask_y)
     np.testing.assert_array_equal(flipped.u0, -pair.u0)
@@ -493,8 +509,13 @@ def test_generate_pair_sign_flip_invariance():
 def test_mask_rate_change_leaves_other_streams_alone():
     a = generate_pair(_desk_config())
     b = generate_pair(_desk_config(mask_x=MaskSpec("mcar", 0.5)))
-    np.testing.assert_array_equal(a.x_latent, b.x_latent)
-    np.testing.assert_array_equal(a.y_latent, b.y_latent)
+    # both pairs mask the one complete draw
+    complete = _complete(_desk_config())
+    for pair in (a, b):
+        np.testing.assert_array_equal(
+            pair.x_obs, np.where(pair.mask_x, complete.x_obs, 0.0))
+        np.testing.assert_array_equal(
+            pair.y_obs, np.where(pair.mask_y, complete.y_obs, 0.0))
     np.testing.assert_array_equal(a.mask_y, b.mask_y)
     assert not np.array_equal(a.mask_x, b.mask_x)
 
@@ -502,9 +523,12 @@ def test_mask_rate_change_leaves_other_streams_alone():
 def test_generate_pair_is_planted_pair_on_its_own_draws():
     cfg = _desk_config(mask_y=MaskSpec("correlated", 0.3, 1.0))
     pair = generate_pair(cfg)
-    again = planted_pair(pair.x_latent, pair.u0, pair.v0, cfg)
-    for name in ("x_obs", "y_obs", "mask_x", "mask_y", "y_latent"):
+    complete = _complete(cfg)
+    again = planted_pair(complete.x_obs, pair.u0, pair.v0, cfg)
+    for name in ("x_obs", "y_obs", "mask_x", "mask_y"):
         np.testing.assert_array_equal(getattr(again, name), getattr(pair, name))
+    unmasked = planted_pair(complete.x_obs, pair.u0, pair.v0, _unmasked(cfg))
+    np.testing.assert_array_equal(unmasked.y_obs, complete.y_obs)
     assert again.rho == pair.rho == cfg.rho
 
 
@@ -539,7 +563,8 @@ def _draw_pair(cfg):
 def _pair_from_draws(cfg, draws):
     """The pair assembled from draws made ahead, every view in a new
     array: whitening on a copy, the masks that need data drawn on the
-    latent views, and the observed views through np.where."""
+    latent views x_star and y_star, and the observed views through
+    np.where."""
     x_star = whiten(draws["design"].copy())
     scores = x_star @ draws["u0"]
     y_star = cfg.theta * np.outer(scores, draws["v0"]) + draws["noise"]
@@ -559,7 +584,7 @@ def _pair_from_draws(cfg, draws):
         sy = sample_mask(spec_y, ctx_y, n, dy, derive_seed(cfg.seed, "mask_y"))
     return dict(x_obs=np.where(sx, x_star, 0.0), y_obs=np.where(sy, y_star, 0.0),
                 mask_x=sx, mask_y=sy, u0=draws["u0"], v0=draws["v0"],
-                x_latent=x_star, y_latent=y_star)
+                x_star=x_star, y_star=y_star)
 
 
 @pytest.mark.parametrize("mechanism", MASK_MECHANISMS)
@@ -573,9 +598,10 @@ def test_draw_pair_holds_exactly_the_data_free_draws(mechanism):
     np.testing.assert_array_equal(pair.v0, draws["v0"])
     for vec in (pair.u0, pair.v0):
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-    np.testing.assert_array_equal(pair.x_latent, whiten(draws["design"]))
-    signal = cfg.theta * np.outer(pair.x_latent @ pair.u0, pair.v0)
-    np.testing.assert_array_equal(pair.y_latent, signal + draws["noise"])
+    complete = _complete(cfg)
+    np.testing.assert_array_equal(complete.x_obs, whiten(draws["design"]))
+    signal = cfg.theta * np.outer(complete.x_obs @ pair.u0, pair.v0)
+    np.testing.assert_array_equal(complete.y_obs, signal + draws["noise"])
     # the design view's signal_dependent request falls back to MCAR
     x_ahead = mechanism in ("mcar", "signal_dependent")
     assert (draws["mask_x"] is not None) == x_ahead
@@ -592,18 +618,18 @@ def test_generate_pair_from_draws_made_ahead_is_bitwise_the_same(mechanism, kind
                        mask_y=MaskSpec(mechanism, 0.4, 0.8),
                        noise=NoiseSpec(kind))
     want = _pair_from_draws(cfg, _draw_pair(cfg))
-    with_latent = generate_pair(cfg)
-    for name, value in want.items():
-        assert getattr(with_latent, name).tobytes() == value.tobytes(), name
-    # without its latent views a pair writes the observed views over them:
-    # the same bytes, with +0.0 at every missing entry
-    observed = generate_pair(cfg, keep_latent=False)
-    assert observed.x_latent is None and observed.y_latent is None
+    # a pair writes its observed views over the latent ones: the bytes of
+    # np.where, with +0.0 at every missing entry
+    observed = generate_pair(cfg)
     for name in ("x_obs", "y_obs", "mask_x", "mask_y", "u0", "v0"):
         assert getattr(observed, name).tobytes() == want[name].tobytes(), name
     for view, mask in ((observed.x_obs, observed.mask_x),
                        (observed.y_obs, observed.mask_y)):
         assert not np.signbit(view[~mask]).any()
+    # and with both masks off, the observed views are the latent ones
+    complete = _complete(cfg)
+    assert complete.x_obs.tobytes() == want["x_star"].tobytes()
+    assert complete.y_obs.tobytes() == want["y_star"].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +682,21 @@ def test_planted_pair_roundtrip():
     assert pair.y_obs.shape == (150, 8)
     np.testing.assert_array_equal(pair.y_obs, draw(4).y_obs)
     assert not np.array_equal(pair.y_obs, draw(5).y_obs)
+
+
+def test_planted_pair_masks_a_c_ordered_copy_of_the_design():
+    # a Fortran-ordered design is copied to C order, the layout np.where
+    # gives a view masked by a C-ordered mask, and left unwritten
+    cfg = _desk_config()
+    pair = generate_pair(cfg)
+    design = np.asfortranarray(_complete(cfg).x_obs)
+    design_before = design.copy(order="F")
+    again = planted_pair(design, pair.u0, pair.v0, cfg)
+    assert again.x_obs.flags.c_contiguous
+    assert (again.x_obs.tobytes()
+            == np.where(again.mask_x, design, 0.0).tobytes())
+    assert design.flags.f_contiguous
+    np.testing.assert_array_equal(design, design_before)
 
 
 def test_planted_pair_matches_semi_synthetic(tmp_path):

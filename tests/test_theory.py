@@ -148,6 +148,35 @@ def test_overlaps_clamped_to_unit_interval():
     assert 0.0 <= r2y <= 1.0
 
 
+def _overlaps_before_the_overflow_guard(alpha_x, alpha_y, rho, theta):
+    t = alpha_x * alpha_y * rho**2 * theta**4
+    gx = alpha_x * rho * theta**2
+    gy = alpha_y * rho * theta**2
+    return (float(min(max((t - 1.0) / (gy * (gx + 1.0)), 0.0), 1.0)),
+            float(min(max((t - 1.0) / (gx * (gy + 1.0)), 0.0), 1.0)))
+
+
+def test_overlaps_keep_their_bits_where_the_formula_is_finite():
+    for alpha_x in (0.5, 1.0, 5.0, 37.5):
+        for alpha_y in (0.25, 2.0, 20.0):
+            for rho in (0.05, 0.42, 1.0):
+                tc = critical_threshold(alpha_x, alpha_y, rho)
+                for ratio in np.geomspace(1.0001, 1e6, 25):
+                    theta = float(ratio * tc)
+                    pred = predict(alpha_x, alpha_y, rho, theta)
+                    assert (pred.r2_x, pred.r2_y) == \
+                        _overlaps_before_the_overflow_guard(
+                            alpha_x, alpha_y, rho, theta)
+
+
+@pytest.mark.parametrize("theta", [1e77, 1e78, 1e300])
+def test_overlaps_reach_their_limit_past_float64_range(theta):
+    # theta**4 reads inf at 1e77 and overflows from 1e78 on
+    pred = predict(5.0, 20.0, 1.0, theta)
+    assert pred.supercritical
+    assert (pred.r2_x, pred.r2_y) == (1.0, 1.0)
+
+
 def test_masking_equivalent_to_weaker_spike():
     # retention enters the overlaps only through the effective spike,
     # so (rho, theta) and (1, sqrt(rho) * theta) agree exactly
