@@ -412,6 +412,29 @@ _PINNED_EXP5_DIGESTS = {
     "mask_sweep": "db87a18224ca822561c8f5b450cc28b8",
     "random_control": "9b2cf92fbc5cc271ed3912287920c249",
 }
+_PINNED_EXP2_DIGESTS = {
+    "phase_diagram": "1cc1c3de6d2cdfa5055f486a561e9622",
+}
+_PINNED_EXP3_DIGESTS = {
+    "n100": "f89ec73d685f72179e11ec6994f92067",
+    "n500": "8d295fcd88ab13a2748f6fefe3d64265",
+    "n2000": "a2456d5624ae01837c035b8177c66e70",
+}
+_PINNED_EXP4_DIGESTS = {
+    "single_view": "9cb859b792ae1b5ce28f326886e5034d",
+    "joint": "cdc8185cf9c5b1ba38ff077eeb0ce8e3",
+}
+_PINNED_EXP6_DIGESTS = {
+    "split_half": "6da0165d05e74a5c47317b275f74d89a",
+}
+_PINNED_B1_DIGESTS = {
+    "gaussian": "8dbd794f8ea16d848dd08990012934f1",
+    "laplace": "77e6b7e7b625cdbec570e03ba928ba7a",
+    "heteroskedastic": "8336764d22209cfb53496f996615146d",
+    "student_t5": "c4a3bd7587cfd32a8f9c06df11742df8",
+    "student_t4_5": "59a15252f85e4c87b7af57c60bb814f7",
+    "student_t3": "3a828c15a23ba28cabc433d6475850bf",
+}
 
 
 def _desk_digests_at_one_blas_thread(preset: str,
@@ -461,6 +484,35 @@ def test_exp5_semi_synthetic_digests_are_pinned(tmp_path):
         write_matrix(paths[name], matrix)
     assert (_desk_digests_at_one_blas_thread("exp5_semi_synthetic", **paths)
             == _PINNED_EXP5_DIGESTS)
+
+
+def test_exp2_phase_diagram_digests_are_pinned():
+    # the theta-by-rho grid, its rho axis solving both mask rates
+    assert (_desk_digests_at_one_blas_thread("exp2_phase_diagram")
+            == _PINNED_EXP2_DIGESTS)
+
+
+def test_exp3_finite_size_digests_are_pinned():
+    # three sample counts, each at its own derived seed
+    assert (_desk_digests_at_one_blas_thread("exp3_finite_size", theta_points=3)
+            == _PINNED_EXP3_DIGESTS)
+
+
+def test_exp4_missingness_modes_digests_are_pinned():
+    # single-view and joint mask axes crossed with theta
+    assert (_desk_digests_at_one_blas_thread("exp4_missingness_modes")
+            == _PINNED_EXP4_DIGESTS)
+
+
+def test_exp6_split_half_digests_are_pinned():
+    # split-half stability at the largest desk geometry
+    assert (_desk_digests_at_one_blas_thread("exp6_split_half")
+            == _PINNED_EXP6_DIGESTS)
+
+
+def test_b1_noise_digests_are_pinned():
+    # every noise family's draw, checked bit for bit
+    assert _desk_digests_at_one_blas_thread("b1_noise") == _PINNED_B1_DIGESTS
 
 
 # ---------------------------------------------------------------------------
