@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a preset or config file")
     run.add_argument("--preset", help="preset name")
-    run.add_argument("--scale", default="desk", help="paper or desk (default desk)")
+    run.add_argument("--scale", help="paper or desk, with --preset only "
+                                     "(default desk)")
     run.add_argument("--config", help="path to a JSON config document")
     run.add_argument("--out", help="output path; multi-variant runs get a "
                                    "-variant suffix before the extension")
@@ -113,6 +114,9 @@ def _parse_override_args(pairs: list[str]) -> dict:
 def _resolve_run_config(args) -> ResolvedConfig:
     if (args.preset is None) == (args.config is None):
         raise ConfigError("run needs exactly one of --preset or --config")
+    if args.config is not None and args.scale is not None:
+        raise ConfigError("--scale applies to --preset only; a --config "
+                          "document sets its own scale")
     overrides = _parse_override_args(args.override)
     if args.config is not None:
         try:
@@ -123,7 +127,7 @@ def _resolve_run_config(args) -> ResolvedConfig:
         return parse_config(text, overrides=overrides, seed=args.seed)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    return preset_config(args.preset, args.scale, overrides)
+    return preset_config(args.preset, args.scale or "desk", overrides)
 
 
 def _numeric_environment() -> dict:

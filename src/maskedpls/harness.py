@@ -20,9 +20,7 @@ the other estimators see masked.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -313,44 +311,6 @@ def result_digest(points: Sequence[PointSummary]) -> str:
     return h.hexdigest()
 
 
-# glibc's mallopt parameters (malloc.h) and the ceiling its adaptive rule
-# approaches on 64-bit: DEFAULT_MMAP_THRESHOLD_MAX, and twice that for trim
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
-_MMAP_THRESHOLD = 32 << 20
-_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
-
-
-def _mallopt():
-    """libc's ``mallopt`` in the running process, None when absent."""
-    try:
-        fn = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return None
-    fn.argtypes = [ctypes.c_int, ctypes.c_int]
-    fn.restype = ctypes.c_int
-    return fn
-
-
-@functools.cache
-def _keep_trial_heap() -> None:
-    """Start glibc's malloc at its adaptive thresholds' ceiling, once, in
-    a single arena.
-
-    By default glibc returns freed arrays above 128 KiB to the kernel, so
-    each trial faults its working set back in.  With these thresholds
-    arrays below 32 MiB are reused from the heap by the next trial.  One
-    arena makes the pool's workers allocate from that same heap instead
-    of growing one each.
-    """
-    fn = _mallopt()
-    if fn is not None:
-        fn(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-        fn(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-        fn(_M_ARENA_MAX, 1)
-
-
 def run_sweep(spec: SweepSpec, threads: int = 1,
               pair_factory: PairFactory | None = None) -> SweepResult:
     """Run every trial of ``spec`` on ``max(threads, 2)`` worker threads
@@ -369,17 +329,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
     ran at, None when numpy bundles no OpenBLAS.  The count is
     process-wide, so concurrent ``run_sweep`` calls from several Python
     threads are not supported.
-
-    The first sweep of a process sets glibc's malloc thresholds, mmap to
-    32 MiB and trim to 64 MiB, and its arena count to 1, so that trials
-    reuse freed heap instead of faulting it back in.  They are not
-    restored: setting them turns glibc's adaptive rule off for the rest
-    of the process, and after the first sweep up to 64 MiB of freed heap
-    stays mapped.  Results never depend on them.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    _keep_trial_heap()
     t_start = time.perf_counter()
     assignments = grid_assignments(spec)
     configs = [

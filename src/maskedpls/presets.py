@@ -348,7 +348,11 @@ def _check_resolved(section, echo: dict) -> None:
 def parse_config(text: str, overrides: Mapping | None = None,
                  seed: int | None = None) -> ResolvedConfig:
     """Resolve a JSON config document, optionally merging command-line
-    overrides (which win over the document's) and a seed."""
+    overrides (which win over the document's) and a seed.
+
+    A preset document's ``resolved`` section is checked against a fresh
+    resolution of its own overrides; when the merged overrides and seed
+    change nothing, that resolution is the one returned."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -366,7 +370,11 @@ def parse_config(text: str, overrides: Mapping | None = None,
             if seed is not None:
                 merged["seed"] = seed
             if "resolved" in doc:
-                _check_resolved(doc["resolved"], preset_config(name, scale, own).echo)
+                checked = preset_config(name, scale, own)
+                _check_resolved(doc["resolved"], checked.echo)
+                # the same overrides resolve to the same sweeps and echo
+                if json.dumps(merged) == json.dumps(own):
+                    return checked
             return preset_config(name, scale, merged)
         if "sweep" in doc:
             _check_keys(doc, {"sweep"}, "config")

@@ -235,6 +235,18 @@ def test_run_rejects_both_preset_and_config(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scale", ["paper", "desk", "nonsense"])
+def test_run_rejects_scale_with_a_config(tmp_path, capsys, scale):
+    # a config document carries its own scale, so --scale would be ignored
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(preset_config("exp1_transition", "desk").echo))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(SMALL_SWEEP))
+    for cfg in (echo, sweep):
+        assert main(["run", "--config", str(cfg), "--scale", scale]) == EXIT_CONFIG
+        assert "--scale applies to --preset only" in capsys.readouterr().err
+
+
 def test_run_rejects_unknown_preset(capsys):
     assert main(["run", "--preset", "exp99"]) == EXIT_CONFIG
 

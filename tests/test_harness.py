@@ -5,7 +5,6 @@ import functools
 import importlib.util
 import math
 import os
-import resource
 import subprocess
 import sys
 import threading
@@ -497,93 +496,6 @@ def test_traced_one_thread_unit_sees_every_layer_it_calls(tmp_path, monkeypatch)
     pairs = [s for s in tracer.spans if s.name == "synth.generate_pair"]
     assert len(pairs) == 4
     assert all(s.trial is not None for s in pairs)
-
-
-# ---------------------------------------------------------------------------
-# malloc thresholds
-
-
-@pytest.fixture
-def fresh_heap_policy():
-    """Let the next sweep set the malloc thresholds again, during the test
-    and after it."""
-    harness._keep_trial_heap.cache_clear()
-    yield
-    harness._keep_trial_heap.cache_clear()
-
-
-def _heap_spec() -> SweepSpec:
-    # 1000x200 views: every per-trial array lies between glibc's default
-    # 128 KiB mmap threshold and the 32 MiB one the sweep sets
-    base = _base(n_samples=1000, dx=200, dy=50)
-    return SweepSpec(base=base, axis=Axis("theta", (1.5,)), trials=6)
-
-
-def test_trials_reuse_the_heap(fresh_heap_policy):
-    if harness._mallopt() is None:
-        pytest.skip("libc has no mallopt")
-    spec = _heap_spec()
-    run_sweep(spec)  # sets the thresholds and grows the heap
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_sweep(spec)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    # with glibc's default thresholds a trial here faults about 1,000 pages in
-    assert faults / spec.trials < 200
-
-
-_DIGEST_CHILD = """
-import sys
-from maskedpls import harness
-from maskedpls.harness import Axis, SweepSpec, run_sweep
-from maskedpls.synth import MaskSpec, ModelConfig
-if sys.argv[1] == "stub":
-    harness._keep_trial_heap = lambda: None
-base = ModelConfig(n_samples=1000, dx=200, dy=50, theta=1.5,
-                   mask_x=MaskSpec("mcar", 0.2), mask_y=MaskSpec("mcar", 0.2),
-                   seed=0)
-spec = SweepSpec(base=base, axis=Axis("theta", (1.0, 1.5)), trials=3,
-                 split_half=True)
-print(run_sweep(spec).digest)
-"""
-
-
-def test_malloc_thresholds_leave_digest_unchanged():
-    digests = []
-    for mode in ("active", "stub"):
-        proc = subprocess.run([sys.executable, "-c", _DIGEST_CHILD, mode],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-    assert len(digests[0]) == 32
-    assert digests[0] == digests[1]
-
-
-def _unloadable(name):
-    raise OSError("no C library")
-
-
-@pytest.mark.parametrize("cdll", [lambda name: object(), _unloadable])
-def test_sweep_without_mallopt_runs_unchanged(fresh_heap_policy, monkeypatch,
-                                              cdll):
-    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
-    with_policy = run_sweep(spec)
-    harness._keep_trial_heap.cache_clear()
-    monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
-    assert harness._mallopt() is None
-    without = run_sweep(spec)
-    assert without.digest == with_policy.digest
-
-
-def test_malloc_thresholds_set_once_per_process(fresh_heap_policy, monkeypatch):
-    calls = []
-    monkeypatch.setattr(harness, "_mallopt",
-                        lambda: lambda param, value: calls.append((param, value)))
-    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.5,)), trials=1)
-    run_sweep(spec)
-    run_sweep(spec, threads=2)
-    assert calls == [(harness._M_MMAP_THRESHOLD, 32 << 20),
-                     (harness._M_TRIM_THRESHOLD, 64 << 20),
-                     (harness._M_ARENA_MAX, 1)]
 
 
 def test_stability_only_computed_when_requested():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from maskedpls import blas
+from maskedpls import blas, presets
 from maskedpls.harness import (
     Axis,
     PointSummary,
@@ -201,6 +201,33 @@ def test_parse_config_echo_roundtrip(tmp_path):
             assert {item.spec.trials for item in rerun.items} == {2}
 
 
+def test_parse_config_resolves_an_echo_once_unless_overridden(tmp_path,
+                                                              monkeypatch):
+    # the resolution that checks an echo's resolved section is the one
+    # that runs, so an exp5 echo reads each matrix once
+    rng = substream(9, "echo-once")
+    paths = {}
+    for name, cols in (("x_matrix", 30), ("y_matrix", 25)):
+        paths[name] = str(tmp_path / f"{name}.mat")
+        write_matrix(paths[name], rng.standard_normal((120, cols)))
+    echo = preset_config("exp5_semi_synthetic", "desk", {**paths, "seed": 3}).echo
+    text = json.dumps(echo)
+    reads = []
+    read = presets.ingest_matrix
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(presets, "ingest_matrix", counted)
+    for kwargs, count in (({}, 2), ({"seed": 3}, 2),
+                          ({"overrides": {"seed": 3}}, 2),
+                          ({"seed": 4}, 4), ({"overrides": {"trials": 3}}, 4)):
+        reads.clear()
+        resolved = parse_config(text, **kwargs)
+        assert len(reads) == count, kwargs
+        if count == 2:
+            assert resolved.echo == echo
 def test_parse_config_rejects_an_edited_resolved_section():
     echo = json.loads(json.dumps(preset_config("b1_noise", "desk").echo))
     echo["resolved"]["laplace"]["base"]["dy"] = 7
