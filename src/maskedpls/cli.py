@@ -53,8 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a preset or config file")
     run.add_argument("--preset", help="preset name")
-    run.add_argument("--scale", help="paper or desk, with --preset only "
-                                     "(default desk)")
+    run.add_argument("--scale", help="paper or desk, --preset only (default desk)")
     run.add_argument("--config", help="path to a JSON config document")
     run.add_argument("--out", help="output path; multi-variant runs get a "
                                    "-variant suffix before the extension")

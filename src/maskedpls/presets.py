@@ -348,11 +348,7 @@ def _check_resolved(section, echo: dict) -> None:
 def parse_config(text: str, overrides: Mapping | None = None,
                  seed: int | None = None) -> ResolvedConfig:
     """Resolve a JSON config document, optionally merging command-line
-    overrides (which win over the document's) and a seed.
-
-    A preset document's ``resolved`` section is checked against a fresh
-    resolution of its own overrides; when the merged overrides and seed
-    change nothing, that resolution is the one returned."""
+    overrides (which win over the document's) and a seed."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -372,7 +368,8 @@ def parse_config(text: str, overrides: Mapping | None = None,
             if "resolved" in doc:
                 checked = preset_config(name, scale, own)
                 _check_resolved(doc["resolved"], checked.echo)
-                # the same overrides resolve to the same sweeps and echo
+                # unchanged overrides run the checked resolution; compared as
+                # JSON, since 1 == 1.0 == True but only 1 is the same override
                 if json.dumps(merged) == json.dumps(own):
                     return checked
             return preset_config(name, scale, merged)

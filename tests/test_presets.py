@@ -228,6 +228,12 @@ def test_parse_config_resolves_an_echo_once_unless_overridden(tmp_path,
         assert len(reads) == count, kwargs
         if count == 2:
             assert resolved.echo == echo
+    # an override equal to the echo's only by Python's == is still decoded
+    one = json.dumps(preset_config("exp1_transition", "desk", {"trials": 1}).echo)
+    with pytest.raises(ConfigError, match="override 'trials'"):
+        parse_config(one, overrides={"trials": True})
+
+
 def test_parse_config_rejects_an_edited_resolved_section():
     echo = json.loads(json.dumps(preset_config("b1_noise", "desk").echo))
     echo["resolved"]["laplace"]["base"]["dy"] = 7
@@ -532,7 +538,7 @@ def test_exp4_missingness_modes_digests_are_pinned():
 
 
 def test_exp6_split_half_digests_are_pinned():
-    # split-half stability at the largest desk geometry
+    # split-half stability on both views' halves
     assert (_desk_digests_at_one_blas_thread("exp6_split_half")
             == _PINNED_EXP6_DIGESTS)
 
