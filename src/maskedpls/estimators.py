@@ -21,6 +21,7 @@ from .synth import MaskedPair
 
 ESTIMATOR_NAMES = ("pls_svd_zero", "mean_impute", "em_pls", "iterative_svd", "oracle")
 _TINY = np.finfo(np.float64).tiny
+_PERMUTE_BLOCK = 256  # rows copied at a time when reordering a view
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,42 @@ def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
                           r2_y=r2_y, iterations=iterations)
 
 
+def _cycles(perm: np.ndarray) -> list[np.ndarray]:
+    """The cycles of perm longer than one, each as i, perm[i],
+    perm[perm[i]], ... from its smallest index i."""
+    nxt = perm.tolist()
+    seen = bytearray(len(nxt))
+    cycles = []
+    for start in range(len(nxt)):
+        if seen[start] or nxt[start] == start:
+            continue
+        cycle = [start]
+        seen[start] = 1
+        j = nxt[start]
+        while j != start:
+            cycle.append(j)
+            seen[j] = 1
+            j = nxt[j]
+        cycles.append(np.array(cycle))
+    return cycles
+
+
+def _permute_rows(view: np.ndarray, cycles, inverse: bool = False) -> None:
+    """Reorder view's rows in place, so that view[i] holds the row that
+    was at view[perm[i]], perm given by its cycles; inverse undoes that.
+    Each cycle's rows move one place along it, _PERMUTE_BLOCK rows at a
+    time, so the copies stay small."""
+    for cycle in cycles:
+        if inverse:
+            cycle = cycle[::-1]
+        first = view[cycle[0]].copy()
+        last = len(cycle) - 1
+        for s in range(0, last, _PERMUTE_BLOCK):
+            e = min(s + _PERMUTE_BLOCK, last)
+            view[cycle[s:e]] = view[cycle[s + 1:e + 1]]
+        view[cycle[last]] = first
+
+
 def split_half_stability(pair: MaskedPair, seed: int) -> float:
     """Agreement between singular pairs estimated on two random halves.
 
@@ -171,14 +208,36 @@ def split_half_stability(pair: MaskedPair, seed: int) -> float:
     its own sample count in the normalization.  Returns the mean of the
     absolute correlations of the two u estimates and the two v
     estimates, in [0, 1].
+
+    Each half is fitted as a slice of the pair's own views: their rows
+    are reordered in place, so that each half is contiguous, and put
+    back before this returns or raises.  So nothing else may read the
+    views meanwhile: a pair factory must not return views that another
+    trial in flight also holds.  ``generate_pair`` and ``planted_pair``
+    comply; ``planted_pair`` copies its design.  A view that is not a
+    C-contiguous, writable float64 array is reordered in a copy.
     """
     n = pair.n_samples
     if n < 4:
         raise ValueError(f"split-half needs at least 4 samples, got {n}")
     perm = substream(seed, "split").permutation(n)
-    pairs = [top_singular_pair(rescaled_cross_covariance(
-                 pair.x_obs[idx], pair.y_obs[idx], pair.rho))
-             for idx in (perm[: n // 2], perm[n // 2:])]
+    cycles = _cycles(perm)
+    x = np.require(pair.x_obs, np.float64, ["C", "W"])
+    y = np.require(pair.y_obs, np.float64, ["C", "W"])
+    if np.may_share_memory(x, y):
+        y = y.copy()
+    reordered = []
+    try:
+        for view in (x, y):
+            _permute_rows(view, cycles)
+            reordered.append(view)
+        # the halves hold the rows perm[:n // 2] and perm[n // 2:], in order
+        pairs = [top_singular_pair(rescaled_cross_covariance(
+                     x[rows], y[rows], pair.rho))
+                 for rows in (slice(None, n // 2), slice(n // 2, None))]
+    finally:
+        for view in reordered:
+            _permute_rows(view, cycles, inverse=True)
     s_u = abs(vector_correlation(pairs[0].left, pairs[1].left))
     s_v = abs(vector_correlation(pairs[0].right, pairs[1].right))
     return 0.5 * (s_u + s_v)

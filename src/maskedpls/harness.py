@@ -197,6 +197,10 @@ def run_trial(config: ModelConfig, estimator: EstimatorKind,
     trial, so a pair source that fails is tagged on it.  The oracle's
     pair is made from config with both masks replaced by ``MaskSpec()``,
     at the same seed, so it holds the complete views of the trial's draw.
+    With ``split_half``, the pair's rows are reordered in place and
+    restored before the trial returns, so a factory must not return
+    views that another trial in flight also holds; ``generate_pair``
+    and ``planted_pair``, which copies its design, never do.
     """
     t0 = time.perf_counter()
     try:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from maskedpls.estimators import (
     split_half_stability,
     squared_overlaps,
 )
-from maskedpls.linalg import top_singular_pair
+from maskedpls.linalg import top_singular_pair, vector_correlation
 from maskedpls.streams import substream
 from maskedpls.synth import MaskedPair, MaskSpec, ModelConfig, generate_pair
 from maskedpls.theory import asymptotic_overlaps, critical_threshold
@@ -429,3 +430,110 @@ def test_split_half_rejects_tiny_sample():
                         np.ones((3, 3)), rho=1.0)
     with pytest.raises(ValueError, match="at least 4"):
         split_half_stability(pair, seed=0)
+
+
+def _split_half_by_gather(pair, seed):
+    """Reference split-half: each half fitted on a gathered copy of its rows."""
+    n = pair.n_samples
+    perm = substream(seed, "split").permutation(n)
+    pairs = [top_singular_pair(rescaled_cross_covariance(
+                 pair.x_obs[idx], pair.y_obs[idx], pair.rho))
+             for idx in (perm[: n // 2], perm[n // 2:])]
+    s_u = abs(vector_correlation(pairs[0].left, pairs[1].left))
+    s_v = abs(vector_correlation(pairs[0].right, pairs[1].right))
+    return 0.5 * (s_u + s_v)
+
+
+def _random_pair(rows, dx, dy, seed, layout="C"):
+    rng = substream(seed, "split-half-test")
+    x = rng.standard_normal((rows, dx))
+    y = 0.5 * np.outer(x[:, 0], np.ones(dy)) + rng.standard_normal((rows, dy))
+    mask_x = rng.random((rows, dx)) > 0.3
+    mask_y = rng.random((rows, dy)) > 0.3
+    x, y = np.where(mask_x, x, 0.0), np.where(mask_y, y, 0.0)
+    if layout == "F":
+        x, y = np.asfortranarray(x), np.asfortranarray(y)
+    pair = _manual_pair(x, y, mask_x, mask_y, rho=0.49)
+    if layout == "read-only":
+        pair.x_obs.flags.writeable = False
+        pair.y_obs.flags.writeable = False
+    return pair
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+@pytest.mark.parametrize("rows,dx,dy", [(120, 30, 20), (121, 30, 20), (4, 3, 2),
+                                        (5, 3, 2), (61, 10, 80), (700, 12, 9)])
+def test_split_half_equals_the_gathered_halves(rows, dx, dy, layout):
+    # the halves are slices of the reordered views, holding the gathered
+    # rows' bytes in their order, so every value is the same bit for bit;
+    # a half left all zero by the masks raises the same error
+    def outcome(split_half, seed):
+        try:
+            return split_half(pair, seed)
+        except ValueError as err:
+            return str(err)
+
+    pair = _random_pair(rows, dx, dy, seed=rows + dy, layout=layout)
+    before = (pair.x_obs.tobytes(), pair.y_obs.tobytes())
+    for seed in range(4):
+        assert (outcome(split_half_stability, seed)
+                == outcome(_split_half_by_gather, seed))
+        assert (pair.x_obs.tobytes(), pair.y_obs.tobytes()) == before
+
+
+def test_split_half_reads_one_array_for_both_views():
+    pair = _random_pair(50, 6, 6, seed=2)
+    pair = dataclasses.replace(pair, y_obs=pair.x_obs, mask_y=pair.mask_x)
+    before = pair.x_obs.tobytes()
+    assert split_half_stability(pair, 1) == _split_half_by_gather(pair, 1)
+    assert pair.x_obs.tobytes() == before
+
+
+@pytest.mark.parametrize("perm", [np.roll(np.arange(700), -1),
+                                  substream(8, "perm-test").permutation(700),
+                                  np.arange(700)])
+def test_permute_rows_moves_long_cycles_in_blocks(perm):
+    # a single 700-row cycle spans three blocks of copies
+    view = substream(9, "perm-test").standard_normal((700, 5))
+    start = view.copy()
+    cycles = estimators._cycles(perm)
+    assert sum(len(c) for c in cycles) == int((perm != np.arange(700)).sum())
+    estimators._permute_rows(view, cycles)
+    assert view.tobytes() == start[perm].tobytes()
+    estimators._permute_rows(view, cycles, inverse=True)
+    assert view.tobytes() == start.tobytes()
+
+
+def test_split_half_restores_the_views_when_a_fit_raises(monkeypatch):
+    pair = _random_pair(300, 20, 15, seed=6)
+    before = (pair.x_obs.tobytes(), pair.y_obs.tobytes())
+    calls = []
+
+    def _second_fails(m):
+        calls.append(m.shape)
+        if len(calls) == 2:
+            raise RuntimeError("second half")
+        return top_singular_pair(m)
+
+    monkeypatch.setattr(estimators, "top_singular_pair", _second_fails)
+    with pytest.raises(RuntimeError, match="second half"):
+        split_half_stability(pair, seed=3)
+    assert len(calls) == 2
+    assert (pair.x_obs.tobytes(), pair.y_obs.tobytes()) == before
+
+
+def test_split_half_holds_no_copy_of_a_view():
+    # the halves are slices of the views, reordered a block of rows at a
+    # time; gathering each half would peak at over half the views' bytes
+    cfg = ModelConfig(n_samples=2000, dx=266, dy=266, theta=1.5,
+                      mask_x=MaskSpec("mcar", 0.3),
+                      mask_y=MaskSpec("mcar", 0.3), seed=21)
+    pair = generate_pair(cfg)
+    views = pair.x_obs.nbytes + pair.y_obs.nbytes
+    tracemalloc.start()
+    try:
+        split_half_stability(pair, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * views, peak / views
