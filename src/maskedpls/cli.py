@@ -60,10 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", default="csv", choices=("csv", "json"),
                      help="output format (default csv)")
     run.add_argument("--seed", type=int, default=None, help="base seed override")
-    run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for trials (default 1); 1 runs "
-                          "two workers and shares the BLAS threads as 2 "
-                          "does, with the same results")
+    run.add_argument("--threads", type=int, default=None,
+                     help="worker threads for trials (default: OpenBLAS's "
+                          "thread count); 1 runs two workers as 2 does, "
+                          "and every count gives the same results")
     run.add_argument("--override", action="append", default=[],
                      metavar="KEY=VALUE", help="preset override, repeatable")
     run.add_argument("--check", action="store_true",
@@ -146,7 +146,7 @@ def _variant_path(out: str, name: str, multi: bool) -> str:
 
 
 def _cmd_run(args) -> int:
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     resolved = _resolve_run_config(args)
     multi = len(resolved.items) > 1

@@ -5,17 +5,12 @@ trials at every grid point with seeds derived deterministically from the
 base seed, and aggregates recovery quality against the asymptotic
 predictions.  Every trial's seed depends only on its (point, trial)
 coordinates, so the trials draw the same inputs at any harness thread
-count.  Their arithmetic is fixed by the numpy/OpenBLAS build and the
-BLAS thread count, because BLAS kernels may round differently under
-another count.  ``run_sweep`` runs its trials on ``max(threads, 2)``
-worker threads, so a one-thread sweep is a two-thread sweep, and runs
-OpenBLAS at ``max(1, n // max(threads, 2))`` threads, n being its count
-when the sweep starts.  Results depend on the harness thread count only
-through that BLAS count, so one- and two-thread sweeps agree bit for
-bit, and with OpenBLAS on one thread, results are identical for every
-harness thread count.  An oracle trial draws its pair from its config
-with both mask rates at 0, and so fits the complete views of the draw
-the other estimators see masked.
+count.  ``run_sweep`` runs OpenBLAS on one thread, so their arithmetic
+is fixed by the numpy/OpenBLAS build alone: on one build, results are
+identical for every harness thread count and every core count.  An
+oracle trial draws its pair from its config with both mask rates at 0,
+and so fits the complete views of the draw the other estimators see
+masked.
 """
 
 from __future__ import annotations
@@ -315,25 +310,28 @@ def result_digest(points: Sequence[PointSummary]) -> str:
     return h.hexdigest()
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1,
+def run_sweep(spec: SweepSpec, threads: int | None = None,
               pair_factory: PairFactory | None = None) -> SweepResult:
     """Run every trial of ``spec`` on ``max(threads, 2)`` worker threads
     and aggregate them into points.
 
-    Trial t of a point runs on the point's config with the seed
+    ``threads`` defaults to OpenBLAS's thread count n when the sweep
+    starts, or 1 when numpy bundles no OpenBLAS.  Trial t of a point
+    runs on the point's config with the seed
     ``derive_seed(point_seed, "trial", t)``, derived once per trial, and
     makes its own draws on its worker.  A one-thread sweep runs two
     workers, as a two-thread sweep does, so one trial draws while
     another fits.
 
-    The workers share OpenBLAS's threads: for the whole sweep OpenBLAS
-    runs ``max(1, n // max(threads, 2))`` threads, where n is its count
-    when the sweep starts, and n is restored when the sweep returns or
-    raises.  ``SweepResult.blas_threads`` records the count the sweep
-    ran at, None when numpy bundles no OpenBLAS.  The count is
+    OpenBLAS runs one thread for the whole sweep, and n is restored when
+    the sweep returns or raises.  ``SweepResult.blas_threads`` records
+    that 1, None when numpy bundles no OpenBLAS.  The count is
     process-wide, so concurrent ``run_sweep`` calls from several Python
     threads are not supported.
     """
+    ambient = blas.num_threads()
+    if threads is None:
+        threads = ambient or 1
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     t_start = time.perf_counter()
@@ -346,19 +344,17 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
         dataclasses.replace(c, seed=derive_seed(c.seed, "trial", t))
         for c in configs for t in range(spec.trials)]
 
-    workers = max(threads, 2)
-    ambient = blas.num_threads()
-    budget = None if ambient is None else max(1, ambient // workers)
+    blas_threads = None if ambient is None else 1
 
     def trial(config):
         return run_trial(config, spec.estimator, spec.split_half, pair_factory)
 
     try:
-        if budget is not None:
-            blas.set_num_threads(budget)
+        if blas_threads is not None:
+            blas.set_num_threads(blas_threads)
         # map keeps trial order, so each point's trials are one contiguous
         # slice
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=max(threads, 2)) as pool:
             trials = list(pool.map(trial, trial_configs))
         points = tuple(
             _summarize_point(assignments[i], spec, configs[i],
@@ -373,7 +369,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
         correlation=_safe_correlation(points),
         correlation_supercritical=_safe_correlation(supercritical),
         total_runtime=time.perf_counter() - t_start,
-        digest=result_digest(points), blas_threads=budget)
+        digest=result_digest(points), blas_threads=blas_threads)
 
 
 def _sorted_theta_points(points: Sequence[PointSummary]) -> list[PointSummary]:

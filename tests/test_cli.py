@@ -185,20 +185,42 @@ def test_run_metadata_records_numeric_environment_outside_digest(
     assert doc_1["digest"] == doc_2["digest"]
 
 
-@pytest.mark.skipif(blas.num_threads() is None,
-                    reason="numpy bundles no OpenBLAS")
-def test_run_metadata_records_the_blas_threads_the_sweep_ran_at(tmp_path, capsys):
+def test_run_metadata_records_the_blas_threads_the_sweep_ran_at(
+        tmp_path, capsys, blas_count):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(SMALL_SWEEP))
-    n = blas.num_threads()
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}.json"
+    for i, threads in enumerate(([], ["--threads", "1"], ["--threads", "2"])):
+        out = tmp_path / f"run{i}.json"
         assert main(["run", "--config", str(cfg), "--out", str(out),
-                     "--format", "json", "--threads", str(threads)]) == EXIT_OK
-        meta = load_results(out)["metadata"]
-        # a one-thread sweep runs at a two-thread sweep's share
-        assert meta["blas_threads"] == max(1, n // 2)
-    assert blas.num_threads() == n
+                     "--format", "json", *threads]) == EXIT_OK
+        # every sweep runs OpenBLAS on one thread, and restores its count
+        assert load_results(out)["metadata"]["blas_threads"] == 1
+        assert blas.num_threads() == blas_count
+
+
+def test_run_passes_no_thread_count_unless_given(tmp_path, capsys, monkeypatch):
+    # run_sweep picks the default, one worker per OpenBLAS thread
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(SMALL_SWEEP))
+    seen = []
+    real = cli.run_sweep
+
+    def recording_sweep(spec, threads, pair_factory):
+        seen.append(threads)
+        return real(spec, threads=threads, pair_factory=pair_factory)
+
+    monkeypatch.setattr(cli, "run_sweep", recording_sweep)
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert main(["run", "--config", str(cfg), "--threads", "3"]) == EXIT_OK
+    assert seen == [None, 3]
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_run_rejects_a_thread_count_below_one(tmp_path, capsys, count):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(SMALL_SWEEP))
+    assert main(["run", "--config", str(cfg), "--threads", count]) == EXIT_CONFIG
+    assert "--threads must be at least 1" in capsys.readouterr().err
 
 
 def test_run_preset_with_overrides_json_output(tmp_path, capsys):

@@ -206,21 +206,8 @@ def test_serial_and_threaded_sweeps_agree():
         assert a.mean_stability == b.mean_stability
 
 
-@pytest.fixture
-def blas_count():
-    """OpenBLAS's thread count, set to 4 for the test, so that the share of
-    a one- or two-thread sweep, 2, differs from both 1 and the count
-    itself."""
-    before = blas.num_threads()
-    if before is None:
-        pytest.skip("numpy bundles no OpenBLAS")
-    blas.set_num_threads(4)
-    yield 4
-    blas.set_num_threads(before)
-
-
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_sweep_runs_on_its_share_of_blas_threads(blas_count, threads):
+def test_sweep_runs_openblas_on_one_thread(blas_count, threads):
     seen = []
 
     def recording_factory(config):
@@ -229,10 +216,8 @@ def test_sweep_runs_on_its_share_of_blas_threads(blas_count, threads):
 
     spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
     result = run_sweep(spec, threads=threads, pair_factory=recording_factory)
-    # a one-thread sweep runs two workers, and shares as two threads do
-    share = max(1, blas_count // max(threads, 2))
-    assert seen == [share] * 6
-    assert result.blas_threads == share
+    assert seen == [1] * 6
+    assert result.blas_threads == 1
     assert blas.num_threads() == blas_count
 
 
@@ -302,38 +287,72 @@ def test_one_and_two_thread_sweeps_agree_bit_for_bit(blas_count):
     spec = SweepSpec(base=_base(n_samples=600, dx=120, dy=40),
                      axis=Axis("theta", (1.0, 1.6)), trials=2, split_half=True)
     one, two = run_sweep(spec, threads=1), run_sweep(spec, threads=2)
-    assert one.blas_threads == two.blas_threads == 2
+    assert one.blas_threads == two.blas_threads == 1
     assert one.digest == two.digest
+    assert blas.num_threads() == blas_count
 
 
 # ---------------------------------------------------------------------------
 # trial workers: a one-thread sweep runs two
 
 
-def test_one_thread_sweep_runs_two_trial_workers_and_leaves_none(monkeypatch):
-    # the first two trials wait for each other, so they must overlap
+def _sweep_on_overlapping_trials(monkeypatch, spec, workers, **kwargs):
+    """run_sweep(spec, **kwargs) whose first ``workers`` trials wait for
+    each other, so that they must overlap; returns the result and the
+    thread each trial ran on."""
     lock = threading.Lock()
-    meet = threading.Barrier(2, timeout=30)
+    meet = threading.Barrier(workers, timeout=30)
     ran_on = []
     real = harness.run_trial
 
-    def recording_trial(*args, **kwargs):
+    def recording_trial(*args, **kw):
         with lock:
             ran_on.append(threading.current_thread())
-            first_two = len(ran_on) <= 2
-        if first_two:
+            first = len(ran_on) <= workers
+        if first:
             meet.wait()
-        return real(*args, **kwargs)
+        return real(*args, **kw)
 
     monkeypatch.setattr(harness, "run_trial", recording_trial)
+    try:
+        return run_sweep(spec, **kwargs), ran_on
+    finally:
+        monkeypatch.setattr(harness, "run_trial", real)
+
+
+def test_one_thread_sweep_runs_two_trial_workers_and_leaves_none(monkeypatch):
     spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
     before = threading.active_count()
-    result = run_sweep(spec, threads=1)
+    result, ran_on = _sweep_on_overlapping_trials(monkeypatch, spec, 2,
+                                                  threads=1)
     assert threading.active_count() == before
     assert len(ran_on) == 6 and len(set(ran_on)) == 2
     assert threading.main_thread() not in ran_on
-    monkeypatch.undo()
     assert {run_sweep(spec, threads=t).digest for t in (2, 3)} == {result.digest}
+
+
+@pytest.mark.parametrize("ambient,workers", [(3, 3), (1, 2), (None, 2)])
+def test_default_sweep_runs_a_worker_per_blas_thread(monkeypatch, ambient,
+                                                     workers):
+    # threads defaults to OpenBLAS's count, or 1 without OpenBLAS, and a
+    # sweep runs at least two workers
+    before = blas.num_threads()
+    if before is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    if ambient is None:
+        monkeypatch.setattr(blas, "_library", lambda: None)
+    else:
+        blas.set_num_threads(ambient)
+    spec = SweepSpec(base=_base(), axis=Axis("theta", (1.0, 1.6)), trials=3)
+    try:
+        result, ran_on = _sweep_on_overlapping_trials(monkeypatch, spec, workers)
+        assert blas.num_threads() == ambient
+    finally:
+        monkeypatch.undo()
+        blas.set_num_threads(before)
+    assert len(ran_on) == 6 and len(set(ran_on)) == workers
+    assert result.blas_threads == (None if ambient is None else 1)
+    assert result.digest == run_sweep(spec, threads=1).digest
 
 
 def test_a_failing_draw_is_tagged_on_its_own_trial(monkeypatch):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from maskedpls import blas, presets
+from maskedpls import blas, cli, presets
 from maskedpls.harness import (
     Axis,
     PointSummary,
@@ -470,40 +470,38 @@ _PINNED_B1_DIGESTS = {
 }
 
 
-def _desk_digests_at_one_blas_thread(preset: str,
-                                     **overrides) -> dict[str, str]:
-    """Each item's digest of the desk preset at seed 0, two trials, two
-    theta points and any further overrides, under one BLAS thread; skips
-    off the pinned build."""
+def _skip_off_the_pinned_build():
     build = (np.__version__, blas.config())
     if build != _PINNED_BUILD:
         pytest.skip(f"digests pinned on {_PINNED_BUILD}, running on {build}")
-    before = blas.num_threads()
-    blas.set_num_threads(1)
-    try:
-        resolved = preset_config(preset, "desk",
-                                 {"seed": 0, "trials": 2, "theta_points": 2,
-                                  **overrides})
-        return {item.name: run_sweep(item.spec,
-                                     pair_factory=item.pair_factory).digest
-                for item in resolved.items}
-    finally:
-        blas.set_num_threads(before)
+
+
+def _desk_digests(preset: str, **overrides) -> dict[str, str]:
+    """Each item's digest of the desk preset at seed 0, two trials, two
+    theta points and any further overrides, at the default thread count;
+    skips off the pinned build."""
+    _skip_off_the_pinned_build()
+    resolved = preset_config(preset, "desk",
+                             {"seed": 0, "trials": 2, "theta_points": 2,
+                              **overrides})
+    return {item.name: run_sweep(item.spec,
+                                 pair_factory=item.pair_factory).digest
+            for item in resolved.items}
 
 
 def test_exp1_transition_digest_is_pinned():
     # whitening, planting and MCAR masks, checked bit for bit
-    assert _desk_digests_at_one_blas_thread("exp1_transition") == _PINNED_EXP1_DIGESTS
+    assert _desk_digests("exp1_transition") == _PINNED_EXP1_DIGESTS
 
 
 def test_b2_mar_digests_are_pinned():
     # every mask mechanism's link and draw, checked bit for bit
-    assert _desk_digests_at_one_blas_thread("b2_mar") == _PINNED_B2_DIGESTS
+    assert _desk_digests("b2_mar") == _PINNED_B2_DIGESTS
 
 
 def test_b3_baselines_digests_are_pinned():
     # every estimator's loop at one BLAS thread, checked bit for bit
-    assert _desk_digests_at_one_blas_thread("b3_baselines") == _PINNED_B3_DIGESTS
+    assert _desk_digests("b3_baselines") == _PINNED_B3_DIGESTS
 
 
 def test_exp5_semi_synthetic_digests_are_pinned(tmp_path):
@@ -515,37 +513,52 @@ def test_exp5_semi_synthetic_digests_are_pinned(tmp_path):
         matrix += rng.standard_normal((600, cols))
         paths[name] = str(tmp_path / f"{name}.mat")
         write_matrix(paths[name], matrix)
-    assert (_desk_digests_at_one_blas_thread("exp5_semi_synthetic", **paths)
+    assert (_desk_digests("exp5_semi_synthetic", **paths)
             == _PINNED_EXP5_DIGESTS)
 
 
 def test_exp2_phase_diagram_digests_are_pinned():
     # the theta-by-rho grid, its rho axis solving both mask rates
-    assert (_desk_digests_at_one_blas_thread("exp2_phase_diagram")
+    assert (_desk_digests("exp2_phase_diagram")
             == _PINNED_EXP2_DIGESTS)
 
 
 def test_exp3_finite_size_digests_are_pinned():
     # three sample counts, each at its own derived seed
-    assert (_desk_digests_at_one_blas_thread("exp3_finite_size", theta_points=3)
+    assert (_desk_digests("exp3_finite_size", theta_points=3)
             == _PINNED_EXP3_DIGESTS)
 
 
 def test_exp4_missingness_modes_digests_are_pinned():
     # single-view and joint mask axes crossed with theta
-    assert (_desk_digests_at_one_blas_thread("exp4_missingness_modes")
+    assert (_desk_digests("exp4_missingness_modes")
             == _PINNED_EXP4_DIGESTS)
 
 
 def test_exp6_split_half_digests_are_pinned():
     # split-half stability on both views' halves
-    assert (_desk_digests_at_one_blas_thread("exp6_split_half")
+    assert (_desk_digests("exp6_split_half")
             == _PINNED_EXP6_DIGESTS)
 
 
 def test_b1_noise_digests_are_pinned():
     # every noise family's draw, checked bit for bit
-    assert _desk_digests_at_one_blas_thread("b1_noise") == _PINNED_B1_DIGESTS
+    assert _desk_digests("b1_noise") == _PINNED_B1_DIGESTS
+
+
+def test_pinned_digests_do_not_depend_on_the_blas_thread_count(blas_count):
+    # exp4 single_view's digest is one that OpenBLAS at 2 threads moves
+    assert (_desk_digests("exp4_missingness_modes")
+            == _PINNED_EXP4_DIGESTS)
+    assert blas.num_threads() == blas_count
+
+
+def test_default_desk_exp1_run_prints_its_digest_at_any_blas_count(
+        blas_count, capsys):
+    # full desk scale, four workers on OpenBLAS's four threads
+    _skip_off_the_pinned_build()
+    assert cli.main(["run", "--preset", "exp1_transition"]) == cli.EXIT_OK
+    assert "digest=e2696fade3db9e8bebf9d62ae7fd3dd1" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
