@@ -21,7 +21,7 @@ from .synth import MaskedPair
 
 ESTIMATOR_NAMES = ("pls_svd_zero", "mean_impute", "em_pls", "iterative_svd", "oracle")
 _TINY = np.finfo(np.float64).tiny
-_PERMUTE_BLOCK = 256  # rows copied at a time when reordering a view
+_SPLIT_BLOCK = 128  # rows per product when summing a split half's cross-covariance
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,19 @@ class EstimateResult:
     iterations: int
 
 
+def _rescale(c: np.ndarray, n: int, rho: float) -> np.ndarray:
+    """c / (n * sqrt(rho)), rho the joint retention probability."""
+    if not rho > 0:
+        raise ValueError(f"joint retention must be positive, got {rho}")
+    return c / (n * np.sqrt(rho))
+
+
 def rescaled_cross_covariance(x_obs: np.ndarray, y_obs: np.ndarray,
                               rho: float) -> np.ndarray:
     """x_obs.T @ y_obs / (N * sqrt(rho)), the masking-corrected
     cross-covariance of N observed rows, with rho the joint retention
     probability."""
-    if not rho > 0:
-        raise ValueError(f"joint retention must be positive, got {rho}")
-    return x_obs.T @ y_obs / (x_obs.shape[0] * np.sqrt(rho))
+    return _rescale(x_obs.T @ y_obs, x_obs.shape[0], rho)
 
 
 def squared_overlaps(u_hat, v_hat, u0, v0) -> tuple[float, float]:
@@ -165,40 +170,16 @@ def estimate(pair: MaskedPair, kind: EstimatorKind) -> EstimateResult:
                           r2_y=r2_y, iterations=iterations)
 
 
-def _cycles(perm: np.ndarray) -> list[np.ndarray]:
-    """The cycles of perm longer than one, each as i, perm[i],
-    perm[perm[i]], ... from its smallest index i."""
-    nxt = perm.tolist()
-    seen = bytearray(len(nxt))
-    cycles = []
-    for start in range(len(nxt)):
-        if seen[start] or nxt[start] == start:
-            continue
-        cycle = [start]
-        seen[start] = 1
-        j = nxt[start]
-        while j != start:
-            cycle.append(j)
-            seen[j] = 1
-            j = nxt[j]
-        cycles.append(np.array(cycle))
-    return cycles
-
-
-def _permute_rows(view: np.ndarray, cycles, inverse: bool = False) -> None:
-    """Reorder view's rows in place, so that view[i] holds the row that
-    was at view[perm[i]], perm given by its cycles; inverse undoes that.
-    Each cycle's rows move one place along it, _PERMUTE_BLOCK rows at a
-    time, so the copies stay small."""
-    for cycle in cycles:
-        if inverse:
-            cycle = cycle[::-1]
-        first = view[cycle[0]].copy()
-        last = len(cycle) - 1
-        for s in range(0, last, _PERMUTE_BLOCK):
-            e = min(s + _PERMUTE_BLOCK, last)
-            view[cycle[s:e]] = view[cycle[s + 1:e + 1]]
-        view[cycle[last]] = first
+def _half_cross_covariance(x: np.ndarray, y: np.ndarray, rows: np.ndarray,
+                           rho: float) -> np.ndarray:
+    """rescaled_cross_covariance(x[rows], y[rows], rho), with the product
+    summed over consecutive blocks of _SPLIT_BLOCK rows, so that no more
+    than a block of either view is gathered at a time."""
+    blocks = [rows[s:s + _SPLIT_BLOCK] for s in range(0, len(rows), _SPLIT_BLOCK)]
+    c = x[blocks[0]].T @ y[blocks[0]]
+    for block in blocks[1:]:
+        c += x[block].T @ y[block]
+    return _rescale(c, len(rows), rho)
 
 
 def split_half_stability(pair: MaskedPair, seed: int) -> float:
@@ -207,37 +188,15 @@ def split_half_stability(pair: MaskedPair, seed: int) -> float:
     Rows are partitioned uniformly at random; each half is analyzed with
     its own sample count in the normalization.  Returns the mean of the
     absolute correlations of the two u estimates and the two v
-    estimates, in [0, 1].
-
-    Each half is fitted as a slice of the pair's own views: their rows
-    are reordered in place, so that each half is contiguous, and put
-    back before this returns or raises.  So nothing else may read the
-    views meanwhile: a pair factory must not return views that another
-    trial in flight also holds.  ``generate_pair`` and ``planted_pair``
-    comply; ``planted_pair`` copies its design.  A view that is not a
-    C-contiguous, writable float64 array is reordered in a copy.
+    estimates, in [0, 1].  The pair's views are only read.
     """
     n = pair.n_samples
     if n < 4:
         raise ValueError(f"split-half needs at least 4 samples, got {n}")
     perm = substream(seed, "split").permutation(n)
-    cycles = _cycles(perm)
-    x = np.require(pair.x_obs, np.float64, ["C", "W"])
-    y = np.require(pair.y_obs, np.float64, ["C", "W"])
-    if np.may_share_memory(x, y):
-        y = y.copy()
-    reordered = []
-    try:
-        for view in (x, y):
-            _permute_rows(view, cycles)
-            reordered.append(view)
-        # the halves hold the rows perm[:n // 2] and perm[n // 2:], in order
-        pairs = [top_singular_pair(rescaled_cross_covariance(
-                     x[rows], y[rows], pair.rho))
-                 for rows in (slice(None, n // 2), slice(n // 2, None))]
-    finally:
-        for view in reordered:
-            _permute_rows(view, cycles, inverse=True)
+    pairs = [top_singular_pair(_half_cross_covariance(
+                 pair.x_obs, pair.y_obs, rows, pair.rho))
+             for rows in (perm[:n // 2], perm[n // 2:])]
     s_u = abs(vector_correlation(pairs[0].left, pairs[1].left))
     s_v = abs(vector_correlation(pairs[0].right, pairs[1].right))
     return 0.5 * (s_u + s_v)
